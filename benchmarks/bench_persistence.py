@@ -23,7 +23,7 @@ the CPU with serving and CI runners vary wildly — the acceptance is
 zero dropped or incorrect answers.
 
 Writes the machine-readable ``BENCH_persistence.json`` next to the
-repo root, mirroring ``bench_serving.py`` / ``bench_build.py``.
+repo root, mirroring ``bench_serving.py``.
 """
 
 import json

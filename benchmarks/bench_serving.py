@@ -17,12 +17,12 @@ hosts), and its determinism lets the bench assert the served ids are
 layer must change scheduling only, never answers.
 
 Writes the machine-readable ``BENCH_serving.json`` next to the repo
-root, mirroring ``bench_refine_engines.py`` / ``bench_build.py``.
+root, mirroring ``bench_refine_engines.py``.
 
 Acceptance bar: at the reference grid point (``n=4096, d=64, k=10,
 ratio_k=8``, window 4 ms, size cap 16) micro-batched throughput must
 beat the sequential baseline by ≥2x on ≥4-core hosts.  The bar is
-CPU/CI-graded like ``bench_build.py`` / ``bench_refine_engines.py``:
+CPU/CI-graded like ``bench_refine_engines.py``:
 shared CI runners and 1-2 core hosts — where the fan-out has no cores
 to use and only the per-batch amortization (minus the admission
 overhead) remains — get a sanity floor instead of a speedup bar.
@@ -220,7 +220,7 @@ def test_serving_window_sweep():
         )
     print(f"wrote {_RESULT_PATH.name}")
 
-    # Graded like bench_build.py / bench_refine_engines.py: real
+    # Graded like bench_refine_engines.py: real
     # multi-core hosts must clear the 2x bar; shared CI runners and 1-2
     # core hosts get sanity floors instead — the serving win is
     # parallelism, which a core-starved host cannot express, leaving

@@ -6,11 +6,10 @@ A deployable front-end over the library for the three lifecycle stages:
   encrypt it, build the privacy-preserving index over the chosen filter
   backend (``--backend hnsw|nsg|ivf|bruteforce``), optionally partition
   it (``--shards N --shard-strategy round_robin|hash``), write the index
-  and the key bundle to separate files.  ``--build-workers`` caps the
-  parallel shard-build fan-out (bit-identical output at any setting),
-  ``--build-mode sequential|bulk`` selects the HNSW construction path,
-  and ``--json`` emits the machine-readable build report (the
-  encrypt/build cost split plus per-shard timings).
+  and the key bundle to separate files.  ``--build-mode
+  sequential|bulk`` selects the HNSW construction path, and ``--json``
+  emits the machine-readable build report (the encrypt/build cost
+  split plus per-shard timings).
 * ``query``  — user+server side: load index + keys, batch-encrypt the
   queries from a file, answer them in one pipelined pass, print neighbor
   ids (or a JSON report with ``--json``).  ``--filter-only`` runs the
@@ -21,8 +20,8 @@ A deployable front-end over the library for the three lifecycle stages:
   recall report.
 * ``info``   — inspect an index without keys: backend kind, shard
   layout, tombstones, storage accounting, and the persisted v2/v3 build
-  metadata (``build_mode``, ``build_workers``, the encrypt/build
-  seconds split); for a v4 journaled store it adds the journal ledger
+  metadata (``build_mode``, the encrypt/build seconds split); for a
+  v4 journaled store it adds the journal ledger
   (generation, segment count, byte split); ``--json`` for the
   machine-readable form.
 * ``compact`` — maintenance: drop every tombstone from an index on
@@ -221,13 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=SHARD_STRATEGIES,
         default="round_robin",
         help="how vector ids map to shards",
-    )
-    build.add_argument(
-        "--build-workers",
-        type=int,
-        default=None,
-        help="parallel shard-build concurrency cap (default: the full "
-        "worker pool; results are bit-identical at any setting)",
     )
     build.add_argument(
         "--build-mode",
@@ -561,7 +553,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         backend=args.backend,
         shards=args.shards,
         shard_strategy=args.shard_strategy,
-        build_workers=args.build_workers,
         build_mode=args.build_mode,
         rng=rng,
     )
@@ -819,7 +810,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
     else:
         print(
             f"build metadata: mode={build.build_mode} "
-            f"workers={'pool' if build.build_workers is None else build.build_workers} "
             f"(encrypt {build.encrypt_seconds:.2f}s + build {build.build_seconds:.2f}s)"
         )
     return 0

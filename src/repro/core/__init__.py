@@ -38,10 +38,9 @@ Public API:
   journaled directory store (:class:`IndexJournal`, base + checksummed
   delta segments, atomic write-new-then-rename publication).
 * :mod:`repro.core.params` — beta and k' tuning (Section VII-A).
-* :mod:`repro.core.build` — the parallel, bit-reproducible index
-  construction pipeline (per-shard builds fanned out over the worker
-  pool, SeedSequence-spawned shard RNGs, :class:`BuildReport` timing
-  split).
+* :mod:`repro.core.build` — the seed-reproducible index construction
+  pipeline (per-shard builds from SeedSequence-spawned shard RNGs,
+  :class:`BuildReport` timing split).
 """
 
 from repro.core.backends import (

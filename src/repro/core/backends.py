@@ -18,13 +18,11 @@ Contract (the :class:`FilterBackend` protocol):
   over the DCPE ciphertext matrix;
 * ``search(sap_query, k_prime, ef_search=..., stats=...)`` — k'-ANNS on
   ciphertexts, returning ``(ids, squared_distances)`` nearest-first;
-* ``search_vectorized(...)`` — same contract, bit-identical results,
-  served from the substrate's flat (CSR) search mode where one exists
-  (graph backends) — the ``vectorized`` filter engine's per-query path;
-* ``search_batch(sap_queries, k_prime, ...)`` — multi-query filtering;
-  the default loops ``search`` per query, while brute-force and IVF
-  override it with genuinely batched GEMM kernels (``batched_kernel``
-  advertises the override, and results stay bit-identical to the loop);
+* ``search_batch(sap_queries, k_prime, ...)`` — multi-query filtering,
+  bit-identical to looping ``search``: brute-force and IVF run batched
+  GEMM kernels, the graph backends a lockstep beam search once the
+  batch is large enough to pay for it (``batched_kernel`` advertises
+  that the backend has such a kernel);
 * ``insert(sap_row)`` / ``mark_deleted(vector_id)`` — maintenance
   (Section V-D), keeping ids aligned with ``C_SAP`` / ``C_DCE``;
 * ``state_arrays()`` / ``from_state(...)`` — persistence hooks.
@@ -73,8 +71,8 @@ class FilterBackend(Protocol):
 
     kind: ClassVar[str]
 
-    #: Whether ``search_batch`` is a genuinely batched kernel (GEMM per
-    #: micro-batch) rather than the default per-query loop.
+    #: Whether ``search_batch`` is a genuinely batched kernel (GEMM or
+    #: lockstep beam per micro-batch) rather than a per-query loop.
     batched_kernel: ClassVar[bool]
 
     @property
@@ -95,17 +93,6 @@ class FilterBackend(Protocol):
         stats: SearchStats | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """k'-ANNS over DCPE ciphertexts: ``(ids, dists)`` nearest-first."""
-        ...
-
-    def search_vectorized(
-        self,
-        sap_query: np.ndarray,
-        k_prime: int,
-        ef_search: int | None = None,
-        stats: SearchStats | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Same contract and bit-identical results as :meth:`search`,
-        served from the substrate's flat search mode where one exists."""
         ...
 
     def search_batch(
@@ -186,18 +173,6 @@ class HNSWBackend:
         """k'-ANNS over DCPE ciphertexts: ``(ids, dists)`` nearest-first."""
         return self._graph.search(sap_query, k_prime, ef_search=ef_search, stats=stats)
 
-    def search_vectorized(
-        self,
-        sap_query: np.ndarray,
-        k_prime: int,
-        ef_search: int | None = None,
-        stats: SearchStats | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Bit-identical :meth:`search` over the graph's CSR search mode."""
-        return self._graph.search_vectorized(
-            sap_query, k_prime, ef_search=ef_search, stats=stats
-        )
-
     def search_batch(
         self,
         sap_queries: np.ndarray,
@@ -205,23 +180,24 @@ class HNSWBackend:
         ef_search: int | None = None,
         stats_list: "list[SearchStats] | None" = None,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Lockstep multi-query beam search, bit-identical per query.
+        """Multi-query filtering, bit-identical per query.
 
-        The whole micro-batch marches over the CSR snapshot together
-        and each round's distance blocks are fused into one gather +
-        einsum (see :meth:`repro.hnsw.graph.HNSWIndex.search_batch`).
+        Batches past the measured crossover march over the layer-0 CSR
+        snapshot in lockstep, each round's distance blocks fused into
+        one gather + einsum; smaller ones loop :meth:`search` (see
+        :meth:`repro.hnsw.graph.HNSWIndex.search_batch`).
         """
         return self._graph.search_batch(
             sap_queries, k_prime, ef_search=ef_search, stats_list=stats_list
         )
 
-    def search_mode_arrays(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-layer CSR ``(indptr, indices)`` pairs (shm publishing)."""
+    def search_mode_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The layer-0 CSR ``(indptr, indices)`` pair (shm publishing)."""
         return self._graph.search_mode_arrays()
 
-    def adopt_search_mode(self, layers) -> None:
-        """Install externally provided CSR layers (zero-copy attach)."""
-        self._graph.adopt_search_mode(layers)
+    def adopt_search_mode(self, indptr: np.ndarray, indices: np.ndarray) -> None:
+        """Install an externally provided CSR pair (zero-copy attach)."""
+        self._graph.adopt_search_mode(indptr, indices)
 
     def insert(self, sap_row: np.ndarray, level: int | None = None) -> int:
         """Insert one DCPE ciphertext row; returns the assigned id.
@@ -371,18 +347,6 @@ class NSGBackend:
         """k'-ANNS over DCPE ciphertexts: ``(ids, dists)`` nearest-first."""
         return self._index.search(sap_query, k_prime, ef_search=ef_search, stats=stats)
 
-    def search_vectorized(
-        self,
-        sap_query: np.ndarray,
-        k_prime: int,
-        ef_search: int | None = None,
-        stats: SearchStats | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Bit-identical :meth:`search` over the graph's CSR search mode."""
-        return self._index.search_vectorized(
-            sap_query, k_prime, ef_search=ef_search, stats=stats
-        )
-
     def search_batch(
         self,
         sap_queries: np.ndarray,
@@ -390,23 +354,24 @@ class NSGBackend:
         ef_search: int | None = None,
         stats_list: "list[SearchStats] | None" = None,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Lockstep multi-query beam search, bit-identical per query.
+        """Multi-query filtering, bit-identical per query.
 
-        The whole micro-batch marches over the CSR snapshot together
-        and each round's distance blocks are fused into one gather +
-        einsum (see :meth:`repro.hnsw.nsg.NSGIndex.search_batch`).
+        Batches past the measured crossover march over the layer-0 CSR
+        snapshot in lockstep, each round's distance blocks fused into
+        one gather + einsum; smaller ones loop :meth:`search` (see
+        :meth:`repro.hnsw.nsg.NSGIndex.search_batch`).
         """
         return self._index.search_batch(
             sap_queries, k_prime, ef_search=ef_search, stats_list=stats_list
         )
 
-    def search_mode_arrays(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-layer CSR ``(indptr, indices)`` pairs (shm publishing)."""
+    def search_mode_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The layer-0 CSR ``(indptr, indices)`` pair (shm publishing)."""
         return self._index.search_mode_arrays()
 
-    def adopt_search_mode(self, layers) -> None:
-        """Install externally provided CSR layers (zero-copy attach)."""
-        self._index.adopt_search_mode(layers)
+    def adopt_search_mode(self, indptr: np.ndarray, indices: np.ndarray) -> None:
+        """Install an externally provided CSR pair (zero-copy attach)."""
+        self._index.adopt_search_mode(indptr, indices)
 
     def insert(self, sap_row: np.ndarray) -> int:
         """Insert one DCPE ciphertext row; returns the assigned id."""
@@ -519,16 +484,6 @@ class IVFBackend:
         return self._index.search(
             sap_query, k_prime, nprobe=self._nprobe_for(ef_search), stats=stats
         )
-
-    def search_vectorized(
-        self,
-        sap_query: np.ndarray,
-        k_prime: int,
-        ef_search: int | None = None,
-        stats: SearchStats | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Alias of :meth:`search` — the IVF scan is already array code."""
-        return self.search(sap_query, k_prime, ef_search=ef_search, stats=stats)
 
     def search_batch(
         self,
@@ -646,16 +601,6 @@ class BruteForceBackend:
     ) -> tuple[np.ndarray, np.ndarray]:
         """k'-ANNS over DCPE ciphertexts: ``(ids, dists)`` nearest-first."""
         return self._index.search(sap_query, k_prime, ef_search=ef_search, stats=stats)
-
-    def search_vectorized(
-        self,
-        sap_query: np.ndarray,
-        k_prime: int,
-        ef_search: int | None = None,
-        stats: SearchStats | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Alias of :meth:`search` — the linear scan is already array code."""
-        return self.search(sap_query, k_prime, ef_search=ef_search, stats=stats)
 
     def search_batch(
         self,

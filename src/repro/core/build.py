@@ -1,33 +1,25 @@
-"""The index-construction pipeline: parallel, reproducible, instrumented.
-
-Serving got fast in three steps (batch encryption, sharded filtering,
-vectorized refine) — this module does the same for **building**.  At the
-million-vector scale the ROADMAP targets, build time is the binding
-constraint: the seed constructed every shard backend one after another on
-a single core, which defeats the point of sharding at build time.
+"""The index-construction pipeline: reproducible and instrumented.
 
 Three pieces:
 
-* **Parallel shard builds** — :func:`build_shard_backends` fans the
-  per-shard backend constructions out over the process-wide pool of
-  :mod:`repro.core.executor` (``map_ordered`` with the ``build_workers``
-  cap).  Backend builds spend their time in numpy kernels (pairwise
-  distances, k-means, beam-search distance blocks) that release the GIL,
-  so shard builds overlap on multi-core hosts.
+* **Per-shard builds** — :func:`build_shard_backends` constructs one
+  filter backend per shard, one after another on the calling thread.
+  Sequential on purpose: graph construction is GIL-bound Python, so
+  shard builds overlapped on threads run 2-3x *slower* than this loop,
+  and the kernel-bound IVF build gains under 1.1x (measured; see the
+  defaults table in README).
 * **Reproducibility by construction** — each shard builds from its own
   child generator derived via ``np.random.SeedSequence.spawn``
   (:func:`spawn_shard_rngs`), never from a generator shared across
   shards.  A shard's build is then a pure function of its slice and its
-  child seed, so the result is **bit-identical at any worker count** —
-  parallel against sequential, for every backend kind (the brute-force
-  backend is additionally bit-identical regardless of seed, having no
-  randomness at all).
+  child seed, independent of what the other shards draw (the
+  brute-force backend is additionally bit-identical regardless of seed,
+  having no randomness at all).
 * **Instrumentation** — :class:`BuildReport` records the owner-side cost
   split (``encrypt_seconds`` vs ``build_seconds``) plus per-shard
   :class:`ShardBuildTiming` rows; it rides on the index object, is
   persisted with it (optional metadata keys, ``docs/FORMATS.md``), and
-  surfaces through ``repro build --json`` and
-  :func:`repro.eval.runner.sweep_build`.
+  surfaces through ``repro build --json``.
 
 The ``build_mode`` knob (:data:`BUILD_MODES`, from
 :mod:`repro.hnsw.graph`) selects the HNSW construction path —
@@ -45,14 +37,12 @@ import numpy as np
 
 from repro.core.backends import build_backend
 from repro.core.errors import ParameterError
-from repro.core.executor import map_ordered, pool_width
 from repro.hnsw.graph import BUILD_MODES
 
 __all__ = [
     "BUILD_MODES",
     "ShardBuildTiming",
     "BuildReport",
-    "resolve_build_workers",
     "spawn_shard_rngs",
     "build_shard_backends",
 ]
@@ -100,14 +90,11 @@ class BuildReport:
         Shard count (1 for a monolithic index).
     build_mode:
         HNSW construction path used (one of :data:`BUILD_MODES`).
-    build_workers:
-        Configured build concurrency (``None`` = the full shared pool).
     encrypt_seconds:
         Wall clock of database encryption (0.0 when the index was built
         directly from ciphertexts).
     build_seconds:
-        Wall clock of filter-structure construction — for a sharded
-        build, the scatter-gather total, not the per-shard sum.
+        Wall clock of filter-structure construction.
     shard_timings:
         Per-shard :class:`ShardBuildTiming` rows (empty for monolithic).
     """
@@ -117,7 +104,6 @@ class BuildReport:
     dim: int
     shards: int = 1
     build_mode: str = "sequential"
-    build_workers: int | None = None
     encrypt_seconds: float = 0.0
     build_seconds: float = 0.0
     shard_timings: tuple[ShardBuildTiming, ...] = field(default_factory=tuple)
@@ -135,7 +121,6 @@ class BuildReport:
             "dim": self.dim,
             "shards": self.shards,
             "build_mode": self.build_mode,
-            "build_workers": self.build_workers,
             "encrypt_seconds": self.encrypt_seconds,
             "build_seconds": self.build_seconds,
             "total_seconds": self.total_seconds,
@@ -148,15 +133,6 @@ class BuildReport:
                 for timing in self.shard_timings
             ],
         }
-
-
-def resolve_build_workers(build_workers: int | None) -> int:
-    """Concrete build concurrency: ``None`` means the full shared pool."""
-    if build_workers is None:
-        return pool_width()
-    if build_workers < 1:
-        raise ParameterError(f"build_workers must be >= 1, got {build_workers}")
-    return build_workers
 
 
 def spawn_shard_rngs(
@@ -189,10 +165,9 @@ def build_shard_backends(
     owned: "list[np.ndarray]",
     rng: np.random.Generator | None = None,
     params=None,
-    build_workers: int | None = None,
     build_mode: str = "sequential",
 ):
-    """Build one filter backend per shard, in parallel, reproducibly.
+    """Build one filter backend per shard, reproducibly.
 
     Parameters
     ----------
@@ -206,13 +181,9 @@ def build_shard_backends(
         on first insert, as before).
     rng:
         Parent randomness; every shard receives its own child generator
-        (:func:`spawn_shard_rngs`), so the output is bit-identical at
-        any ``build_workers`` setting.
+        (:func:`spawn_shard_rngs`).
     params:
         Backend construction parameters, shared by every shard.
-    build_workers:
-        Concurrency cap for the fan-out (``None`` = full shared pool,
-        ``1`` = sequential on the calling thread).
     build_mode:
         HNSW construction path (one of :data:`BUILD_MODES`).
 
@@ -223,38 +194,27 @@ def build_shard_backends(
         raise ParameterError(
             f"unknown build mode {build_mode!r}; available: {', '.join(BUILD_MODES)}"
         )
-    resolve_build_workers(build_workers)  # validate; see below
-    child_rngs = spawn_shard_rngs(rng, len(owned))
-
-    def build_one(task):
-        shard_id, ids, child = task
+    backends = []
+    timings = []
+    for shard_id, (ids, child) in enumerate(
+        zip(owned, spawn_shard_rngs(rng, len(owned)))
+    ):
         if not ids.size:
             # Empty shards build lazily on first insert — no work here.
-            return None, ShardBuildTiming(shard_id, 0.0, 0)
+            backends.append(None)
+            timings.append(ShardBuildTiming(shard_id, 0.0, 0))
+            continue
         start = time.perf_counter()
-        backend = build_backend(
-            kind,
-            sap_vectors[ids],
-            rng=child,
-            params=params,
-            build_mode=build_mode,
+        backends.append(
+            build_backend(
+                kind, sap_vectors[ids], rng=child, params=params, build_mode=build_mode
+            )
         )
-        timing = ShardBuildTiming(
-            shard_id=shard_id,
-            seconds=time.perf_counter() - start,
-            num_vectors=int(ids.size),
+        timings.append(
+            ShardBuildTiming(
+                shard_id=shard_id,
+                seconds=time.perf_counter() - start,
+                num_vectors=int(ids.size),
+            )
         )
-        return backend, timing
-
-    # None passes through uncapped: map_ordered then submits everything
-    # in one wave and the pool schedules greedily — resolving None to
-    # pool_width() here would impose wave barriers the full-pool path
-    # doesn't need (one slow shard would idle the rest of its wave).
-    outcomes = map_ordered(
-        build_one,
-        [(i, ids, child_rngs[i]) for i, ids in enumerate(owned)],
-        max_workers=build_workers,
-    )
-    backends = [backend for backend, _ in outcomes]
-    timings = tuple(timing for _, timing in outcomes)
-    return backends, timings
+    return backends, tuple(timings)

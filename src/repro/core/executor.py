@@ -38,12 +38,6 @@ serving layer (:mod:`repro.serve`) consumes the settled form directly:
 a scheduler-formed micro-batch must deliver per-query exceptions to
 per-query futures without discarding sibling results.
 
-A third caller — the parallel index-construction pipeline of
-:mod:`repro.core.build` — fans per-shard backend builds out over the
-same pool, and is the reason the fan-out takes an optional
-``max_workers`` cap: build concurrency is a user-facing knob
-(``build_workers=``), while serving fan-outs always use the full pool.
-
 Threads are one of two **executor modes** (:data:`EXECUTOR_MODES`).
 ``threads`` — this module's pool — is the default and the oracle;
 ``processes`` routes batch execution through the multi-process data
@@ -169,9 +163,7 @@ class Settled(Generic[_ResultT]):
 
 
 def map_settled(
-    fn: Callable[[_ItemT], _ResultT],
-    items: Iterable[_ItemT],
-    max_workers: int | None = None,
+    fn: Callable[[_ItemT], _ResultT], items: Iterable[_ItemT]
 ) -> list[Settled[_ResultT]]:
     """Apply ``fn`` to every item on the shared pool; settle each in order.
 
@@ -187,19 +179,10 @@ def map_settled(
     ``SystemExit`` propagate immediately (remaining pool tasks finish
     and are discarded).
 
-    ``max_workers`` caps how many items are in flight at once (``None``
-    means the full pool).  The cap is enforced by submitting the items
-    in waves of ``max_workers`` — a slight utilization loss versus a
-    streaming semaphore, accepted because the capped callers are coarse
-    batch jobs (per-shard index builds), not the serving path.
-
-    Fewer than two items, ``max_workers=1``, or a call made from inside
-    one of the pool's own workers (a nested fan-out would deadlock a
-    bounded pool), runs inline on the calling thread with identical
-    semantics.
+    Fewer than two items, or a call made from inside one of the pool's
+    own workers (a nested fan-out would deadlock a bounded pool), runs
+    inline on the calling thread with identical semantics.
     """
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     work: Sequence[_ItemT] = list(items)
 
     def settle_call(item: _ItemT) -> Settled[_ResultT]:
@@ -208,26 +191,17 @@ def map_settled(
         except Exception as exc:
             return Settled(error=exc)
 
-    if len(work) < 2 or max_workers == 1 or in_worker_thread():
+    if len(work) < 2 or in_worker_thread():
         return [settle_call(item) for item in work]
-    wave = len(work) if max_workers is None else max_workers
-    outcomes: list[Settled[_ResultT]] = []
-    for start in range(0, len(work), wave):
-        futures = [
-            shared_pool().submit(settle_call, item)
-            for item in work[start:start + wave]
-        ]
-        # settle_call only lets BaseExceptions escape, so future.result()
-        # here re-raises KeyboardInterrupt / SystemExit immediately and
-        # settles everything else.
-        outcomes.extend(future.result() for future in futures)
-    return outcomes
+    futures = [shared_pool().submit(settle_call, item) for item in work]
+    # settle_call only lets BaseExceptions escape, so future.result()
+    # here re-raises KeyboardInterrupt / SystemExit immediately and
+    # settles everything else.
+    return [future.result() for future in futures]
 
 
 def map_ordered(
-    fn: Callable[[_ItemT], _ResultT],
-    items: Iterable[_ItemT],
-    max_workers: int | None = None,
+    fn: Callable[[_ItemT], _ResultT], items: Iterable[_ItemT]
 ) -> list[_ResultT]:
     """Apply ``fn`` to every item on the shared pool; gather in order.
 
@@ -241,11 +215,10 @@ def map_ordered(
       position** is re-raised after the gather, so error reporting is
       deterministic under arbitrary thread scheduling.
 
-    Inline execution (fewer than two items, ``max_workers=1``, nested in
-    a pool worker) and the ``max_workers`` wave cap behave exactly as in
-    :func:`map_settled`.
+    Inline execution (fewer than two items, nested in a pool worker)
+    behaves exactly as in :func:`map_settled`.
     """
-    outcomes = map_settled(fn, items, max_workers=max_workers)
+    outcomes = map_settled(fn, items)
     for outcome in outcomes:
         if outcome.error is not None:
             raise outcome.error

@@ -1,29 +1,28 @@
 """Pluggable filter-phase execution engines (Algorithm 1's k'-ANNS).
 
-The filter phase runs k'-ANNS over the DCPE ciphertexts; after the
-refine phase went vectorized it dominates the server's wall clock, and
-the seed implementation is a per-query Python beam search (list-of-list
-adjacency, a ``set`` for visited, one small distance call per node
-expansion).  This module mirrors the :class:`~repro.core.refine.RefineEngine`
-precedent so the search substrate can be swapped per request:
+The filter phase runs k'-ANNS over the DCPE ciphertexts and dominates
+the server's wall clock.  This module mirrors the
+:class:`~repro.core.refine.RefineEngine` precedent so the search
+substrate can be swapped per request:
 
 * :class:`HeapFilterEngine` (``"heap"``) — the oracle-faithful
-  reference: every query runs the seed's per-query ``backend.search``
-  loop, byte for byte.  ``SearchStats.kernel_seconds`` stays 0.0.
+  reference: every query, batched or not, runs the seed's per-query
+  ``backend.search`` loop, byte for byte.
+  ``SearchStats.kernel_seconds`` stays 0.0.
 * :class:`VectorizedFilterEngine` (``"vectorized"``, the default) —
-  per-query traffic goes to ``backend.search_vectorized`` (graph
-  backends serve it from a flat CSR search mode with an epoch-stamped
-  visited array — see :class:`repro.hnsw.graph._SearchMode`), and
-  micro-batches go to ``backend.search_batch`` when the backend
-  advertises a genuinely batched kernel (``batched_kernel`` — the
-  brute-force and IVF GEMM paths, and the graph backends' lockstep
-  multi-query beam search).  Results are **bit-identical** to
-  the heap engine — ids, distances, ``distance_computations`` and
-  ``hops`` — because the flat traversal replays the oracle's decisions
-  exactly and the batched kernels verify their selections against the
-  oracle's own distance kernel, falling back on any tie
-  (property-tested in ``tests/strategies/test_filter_engine_properties.py``).
-  Wall time inside the backend call is accumulated into
+  single queries take the same ``backend.search`` (there is one
+  per-query beam search), and micro-batches go to
+  ``backend.search_batch`` when the backend advertises a genuinely
+  batched kernel (``batched_kernel`` — the brute-force and IVF GEMM
+  paths, and the graph backends' lockstep multi-query beam search,
+  which itself falls back to the per-query loop below its measured
+  crossover).  Results are **bit-identical** to the heap engine — ids,
+  distances, ``distance_computations`` and ``hops`` — because the
+  lockstep traversal replays the oracle's decisions exactly and the
+  GEMM kernels verify their selections against the oracle's own
+  distance kernel, falling back on any tie (property-tested in
+  ``tests/strategies/test_filter_engine_properties.py``).  Wall time
+  inside the backend call is accumulated into
   ``SearchStats.kernel_seconds`` and surfaces as
   ``SearchResult.filter_kernel_seconds``.
 
@@ -126,18 +125,16 @@ class HeapFilterEngine:
 
 
 class VectorizedFilterEngine:
-    """Flat-search-mode traversal plus batched multi-query kernels.
+    """The oracle's per-query search plus batched multi-query kernels.
 
-    Per-query traffic runs ``backend.search_vectorized`` — for graph
-    backends a CSR snapshot of the adjacency (compiled lazily per graph
-    generation) walked with an epoch-stamped visited array and block
-    distance gathers, replaying the oracle beam's decisions exactly.
-    Micro-batches go to ``backend.search_batch`` whenever the backend
-    advertises ``batched_kernel``: brute-force and IVF run one GEMM /
-    norm-cached GEMV per batch (verified against the oracle kernel with
-    a tie-safe fallback), and the graph backends run a lockstep beam
-    search that fuses each round's distance blocks across the batch
-    (:func:`repro.hnsw.graph.lockstep_beam_search`).  Either way the
+    Single queries run ``backend.search``, timed.  Micro-batches go to
+    ``backend.search_batch`` whenever the backend advertises
+    ``batched_kernel``: brute-force and IVF run one GEMM / norm-cached
+    GEMV per batch (verified against the oracle kernel with a tie-safe
+    fallback), and the graph backends run a lockstep beam search that
+    fuses each round's distance blocks across the batch
+    (:func:`repro.hnsw.graph.lockstep_beam_search`) once the batch
+    reaches :data:`repro.hnsw.graph.LOCKSTEP_MIN_ROWS`.  Either way the
     results are bit-identical to :class:`HeapFilterEngine`.
 
     Wall time spent inside the backend call is accumulated into
@@ -156,11 +153,9 @@ class VectorizedFilterEngine:
         ef_search: int | None = None,
         stats: SearchStats | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One query over the flat search mode, timed into the stats."""
+        """One query through ``backend.search``, timed into the stats."""
         start = time.perf_counter()
-        out = backend.search_vectorized(
-            sap_query, k_prime, ef_search=ef_search, stats=stats
-        )
+        out = backend.search(sap_query, k_prime, ef_search=ef_search, stats=stats)
         if stats is not None:
             stats.kernel_seconds += time.perf_counter() - start
         return out
@@ -173,7 +168,7 @@ class VectorizedFilterEngine:
         ef_search: int | None = None,
         stats_list: "list[SearchStats] | None" = None,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Batched kernel when the backend has one, else a vectorized loop."""
+        """Batched kernel when the backend has one, else a timed loop."""
         queries = np.asarray(sap_queries)
         if getattr(backend, "batched_kernel", False):
             start = time.perf_counter()
@@ -204,7 +199,7 @@ FILTER_ENGINES: dict[str, FilterEngine] = {
     VectorizedFilterEngine.name: VectorizedFilterEngine(),
 }
 
-#: The serving default: the flat/batched kernels (bit-identical to ``heap``).
+#: The serving default: the batched kernels (bit-identical to ``heap``).
 DEFAULT_FILTER_ENGINE = VectorizedFilterEngine.name
 
 

@@ -31,11 +31,13 @@ specification is ``docs/FORMATS.md``):
 
 :func:`load_index` reads all of them.  Both npz write formats additionally
 carry optional **build metadata** (``build_seconds`` = the
-encrypt/build wall-clock split, ``build_mode``, ``build_workers``,
+encrypt/build wall-clock split, ``build_mode``,
 ``shard_build_seconds`` / ``shard_build_sizes``) whenever the index
 still holds the construction pipeline's
 :class:`~repro.core.build.BuildReport`; readers reattach it and
-tolerate its absence.
+tolerate its absence.  Older files also carry a legacy
+``build_workers`` key, which is no longer written and is ignored on
+load.
 """
 
 from __future__ import annotations
@@ -88,10 +90,6 @@ def _common_arrays(
             [report.encrypt_seconds, report.build_seconds]
         )
         arrays["build_mode"] = np.array([report.build_mode])
-        arrays["build_workers"] = np.array(
-            [-1 if report.build_workers is None else report.build_workers],
-            dtype=np.int64,
-        )
         arrays["shard_build_seconds"] = np.array(
             [timing.seconds for timing in report.shard_timings]
         )
@@ -109,7 +107,6 @@ def _load_build_report(
     if "build_seconds" not in data:
         return
     encrypt_seconds, build_seconds = (float(x) for x in data["build_seconds"])
-    workers = int(data["build_workers"][0])
     shard_seconds = data["shard_build_seconds"]
     shard_sizes = data["shard_build_sizes"]
     index.build_report = BuildReport(
@@ -118,7 +115,6 @@ def _load_build_report(
         dim=index.dim,
         shards=getattr(index, "num_shards", 1),
         build_mode=str(data["build_mode"][0]),
-        build_workers=None if workers < 0 else workers,
         encrypt_seconds=encrypt_seconds,
         build_seconds=build_seconds,
         shard_timings=tuple(

@@ -8,7 +8,7 @@ server publishes its ciphertext matrices (every shard's ``C_SAP``
 slice and the global ``C_DCE`` block) into one shared-memory arena
 (:mod:`repro.core.shm`) and spawns worker processes that attach the
 arena **zero-copy** and rebuild their filter backends as numpy views
-over it.  Graph backends also get their compiled flat CSR search mode
+over it.  Graph backends also get their compiled layer-0 CSR snapshot
 (:meth:`~repro.hnsw.graph.HNSWIndex.search_mode_arrays`) published in
 the same arena, so workers adopt the parent's snapshot zero-copy
 instead of recompiling the adjacency per process.  Per batch, only the
@@ -101,6 +101,17 @@ _POLL_SECONDS = 0.05
 DEFAULT_RESTART_BACKOFF_BASE = 0.1
 DEFAULT_RESTART_BACKOFF_CAP = 5.0
 
+#: Appended to the error when a worker dies before its start-up
+#: handshake.  Spawned workers re-import the program's ``__main__``
+#: before they run any of our code, so an entry script that reaches the
+#: plane at module level makes every worker try to start a plane of its
+#: own — multiprocessing kills it for that, and only its stderr says why.
+_UNGUARDED_MAIN_HINT = (
+    '; spawned workers re-import the program\'s __main__ module: if the '
+    'entry script starts the process data plane at module level, move '
+    'that code under `if __name__ == "__main__":`'
+)
+
 
 class DataPlaneError(PPANNSError):
     """A process-plane worker failed or died while holding our work.
@@ -154,11 +165,11 @@ class _BackendSpec:
     empty shard (no backend yet) — the worker answers it with empty
     candidate arrays, like :meth:`repro.core.sharding.Shard.search`.
 
-    ``search_mode_refs`` carries the published flat CSR search mode of
-    a graph backend as alternating ``indptr`` / ``indices`` refs (two
-    per layer); the worker adopts the resolved views so the vectorized
-    engine never recompiles the adjacency.  ``None`` for backends
-    without a search mode (brute force, IVF).
+    ``search_mode_refs`` carries the published layer-0 CSR snapshot of
+    a graph backend as its ``(indptr, indices)`` refs; the worker
+    adopts the resolved views so lockstep batches never recompile the
+    adjacency.  ``None`` for backends without a search mode (brute
+    force, IVF).
     """
 
     shard_id: int
@@ -167,7 +178,7 @@ class _BackendSpec:
     vectors_ref: "ShmArrayRef | None"
     state: "dict[str, np.ndarray] | None"
     global_ids: "np.ndarray | None"
-    search_mode_refs: "tuple[ShmArrayRef, ...] | None" = None
+    search_mode_refs: "tuple[ShmArrayRef, ShmArrayRef] | None" = None
 
 
 def _map_ids(spec: _BackendSpec, local_ids: np.ndarray) -> np.ndarray:
@@ -299,16 +310,22 @@ def _worker_diagnostics() -> dict:
     }
 
 
-def _worker_main(conn, init: dict) -> None:
+def _worker_main(conn) -> None:
     """Worker process entry point: attach, rebuild, serve the pipe.
 
-    Messages are ``(op, ...)`` tuples; every request gets exactly one
-    ``("ok", payload)`` / ``("error", message)`` reply except ``close``
-    (clean shutdown) and ``abort`` (fault-injection: die without a
-    word, as a real crash would).
+    The first message is the ``init`` dict (arena name, backend specs,
+    ``C_DCE`` ref).  It travels over the pipe, not in the spawn
+    arguments: ``Process.start`` writes its arguments to the child with
+    no way to notice the child dying first, so a large payload there
+    can block the parent forever.  After that, messages are ``(op,
+    ...)`` tuples; every request gets exactly one ``("ok", payload)`` /
+    ``("error", message)`` reply except ``close`` (clean shutdown) and
+    ``abort`` (fault-injection: die without a word, as a real crash
+    would).
     """
     arena = None
     try:
+        init = conn.recv()
         arena = ShmArena.attach(init["arena"])
         built = []
         for spec in init["specs"]:
@@ -318,9 +335,8 @@ def _worker_main(conn, init: dict) -> None:
             vectors = arena.resolve(spec.vectors_ref)
             backend = backend_from_state(spec.kind, vectors, spec.state, copy=False)
             if spec.search_mode_refs:
-                resolved = [arena.resolve(ref) for ref in spec.search_mode_refs]
                 backend.adopt_search_mode(
-                    list(zip(resolved[0::2], resolved[1::2]))
+                    *(arena.resolve(ref) for ref in spec.search_mode_refs)
                 )
             built.append((spec, backend))
         dce = DCEEncryptedDatabase(
@@ -443,13 +459,10 @@ class ProcessDataPlane:
         shards = getattr(index, "shards", None)
         specs: "list[_BackendSpec]" = []
         arrays: "list[np.ndarray]" = []
-        # Per spec index: the published slot of its vectors and of its
-        # CSR search-mode arrays (alternating indptr/indices, two per
-        # layer).  Recording slots instead of iterating refs keeps the
-        # patch-up below correct with a variable number of arrays per
-        # backend.
+        # Per spec index: the published slot of its vectors and, for a
+        # graph backend, of its CSR indptr (indices follows it).
         vector_slots: "dict[int, int]" = {}
-        mode_slots: "dict[int, list[int]]" = {}
+        mode_slots: "dict[int, int]" = {}
 
         def stage_backend(spec_index: int, backend) -> None:
             vector_slots[spec_index] = len(arrays)
@@ -457,13 +470,8 @@ class ProcessDataPlane:
             mode_arrays = getattr(backend, "search_mode_arrays", None)
             if mode_arrays is None:
                 return
-            slots: "list[int]" = []
-            for indptr, indices in mode_arrays():
-                slots.append(len(arrays))
-                arrays.append(np.ascontiguousarray(indptr))
-                slots.append(len(arrays))
-                arrays.append(np.ascontiguousarray(indices))
-            mode_slots[spec_index] = slots
+            mode_slots[spec_index] = len(arrays)
+            arrays.extend(np.ascontiguousarray(array) for array in mode_arrays())
 
         if shards is not None:
             self._sharded = True
@@ -510,9 +518,9 @@ class ProcessDataPlane:
         for spec_index, spec in enumerate(specs):
             if spec.kind is not None:
                 spec.vectors_ref = refs[vector_slots[spec_index]]
-                slots = mode_slots.get(spec_index)
-                if slots is not None:
-                    spec.search_mode_refs = tuple(refs[slot] for slot in slots)
+                slot = mode_slots.get(spec_index)
+                if slot is not None:
+                    spec.search_mode_refs = (refs[slot], refs[slot + 1])
         self._dce_ref = refs[-1]
         self._dce_key_id = dce.key_id
         self._ctx = multiprocessing.get_context("spawn")
@@ -526,13 +534,15 @@ class ProcessDataPlane:
             else:
                 for worker_specs in assigned:
                     worker_specs.append(specs[0])
+            # Spawn all, then init all, then one handshake per worker
+            # (backends rebuilt, arena attached): the workers' import
+            # and rebuild times overlap.
             for worker_specs in assigned:
                 self._workers.append(self._spawn(worker_specs))
-            # One handshake per worker: backends rebuilt, arena attached.
-            # Workers start concurrently; gathering after all spawns
-            # overlaps their import + rebuild time.
             for worker_index in range(len(self._workers)):
-                reply = self._recv(worker_index)
+                self._send_init(worker_index)
+            for worker_index in range(len(self._workers)):
+                reply = self._recv(worker_index, starting=True)
                 if reply[0] != "ok":
                     raise DataPlaneError(
                         f"worker {worker_index} failed to start: {reply[1]}"
@@ -542,20 +552,34 @@ class ProcessDataPlane:
             raise
 
     def _spawn(self, worker_specs: "list[_BackendSpec]") -> _Worker:
-        """Start one worker process over the published arena."""
+        """Start one worker process; :meth:`_send_init` tells it what to serve."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        init = {
-            "arena": self._arena.name,
-            "specs": worker_specs,
-            "dce_ref": self._dce_ref,
-            "dce_key_id": self._dce_key_id,
-        }
         process = self._ctx.Process(
-            target=_worker_main, args=(child_conn, init), daemon=True
+            target=_worker_main, args=(child_conn,), daemon=True
         )
         process.start()
         child_conn.close()
         return _Worker(process, parent_conn, worker_specs)
+
+    def _send_init(self, worker_index: int) -> None:
+        """Ship a started worker its arena name and backend specs.
+
+        A worker that died before reading (see :data:`_UNGUARDED_MAIN_HINT`)
+        closes its end of the pipe, so the send fails instead of
+        blocking; the handshake ``_recv`` that follows reports the death.
+        """
+        worker = self._workers[worker_index]
+        try:
+            worker.conn.send(
+                {
+                    "arena": self._arena.name,
+                    "specs": worker.specs,
+                    "dce_ref": self._dce_ref,
+                    "dce_key_id": self._dce_key_id,
+                }
+            )
+        except OSError:
+            pass
 
     # -- accessors ---------------------------------------------------------------
 
@@ -695,7 +719,8 @@ class ProcessDataPlane:
                     replacement = self._spawn(worker.specs)
                     replacement.restarts = worker.restarts + 1
                     self._workers[worker_index] = replacement
-                    reply = self._recv(worker_index)
+                    self._send_init(worker_index)
+                    reply = self._recv(worker_index, starting=True)
                     ok = reply[0] == "ok"
                 except (DataPlaneError, OSError):
                     ok = False
@@ -945,9 +970,16 @@ class ProcessDataPlane:
                 outcomes[worker_index] = reply[1]
         return outcomes
 
-    def _recv(self, worker_index: int):
-        """One reply from a worker; a dead worker raises, never hangs."""
+    def _recv(self, worker_index: int, starting: bool = False):
+        """One reply from a worker; a dead worker raises, never hangs.
+
+        ``starting`` marks the start-up handshake, where a silent death
+        most often means the worker never got past re-importing the
+        program's ``__main__`` — the error then says so.
+        """
         worker = self._workers[worker_index]
+        when = "during start-up" if starting else "mid-batch"
+        hint = _UNGUARDED_MAIN_HINT if starting else ""
         try:
             while not worker.conn.poll(_POLL_SECONDS):
                 if not worker.process.is_alive():
@@ -959,14 +991,14 @@ class ProcessDataPlane:
                     self._mark_dead(worker_index)
                     raise DataPlaneError(
                         f"worker {worker_index} (pid {worker.process.pid}) died "
-                        f"mid-batch (exit code {worker.process.exitcode})"
+                        f"{when} (exit code {worker.process.exitcode}){hint}"
                     )
             return worker.conn.recv()
         except (EOFError, BrokenPipeError, OSError) as exc:
             self._mark_dead(worker_index)
             raise DataPlaneError(
                 f"worker {worker_index} (pid {worker.process.pid}) died "
-                f"mid-batch: {type(exc).__name__}"
+                f"{when}: {type(exc).__name__}{hint}"
             ) from exc
 
     # -- fault injection ----------------------------------------------------------

@@ -352,9 +352,10 @@ class SearchResult:
         Name of the :class:`~repro.core.filterengine.FilterEngine` that
         ran the filter stage (``None`` on legacy paths).
     filter_kernel_seconds:
-        Wall clock inside the filter engine's flat/batched kernels
-        (CSR traversal, batched GEMM scans); 0.0 for the ``heap``
-        engine.  Mirrors ``SearchStats.kernel_seconds``.
+        Wall clock inside the ``vectorized`` filter engine's backend
+        calls (per-query search, lockstep batches, batched GEMM scans);
+        0.0 for the ``heap`` engine.  Mirrors
+        ``SearchStats.kernel_seconds``.
     request:
         The resolved request this result answers (None on legacy paths).
     shard_timings:

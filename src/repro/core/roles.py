@@ -90,11 +90,6 @@ class DataOwner:
     shard_strategy:
         Shard-assignment strategy recorded in the index (one of
         :data:`~repro.core.sharding.SHARD_STRATEGIES`).
-    build_workers:
-        Concurrency cap for the parallel shard-build fan-out
-        (``None`` = the full shared worker pool, ``1`` = build shards
-        sequentially).  Bit-identical output at any setting — see
-        :mod:`repro.core.build`.
     build_mode:
         HNSW construction path (one of
         :data:`repro.core.build.BUILD_MODES`): the seed's
@@ -114,7 +109,6 @@ class DataOwner:
         backend_params=None,
         shards: int | None = None,
         shard_strategy: str = "round_robin",
-        build_workers: int | None = None,
         build_mode: str = "sequential",
         rng: np.random.Generator | None = None,
     ) -> None:
@@ -126,10 +120,6 @@ class DataOwner:
             raise ParameterError(
                 f"unknown shard strategy {shard_strategy!r}; "
                 f"available: {', '.join(SHARD_STRATEGIES)}"
-            )
-        if build_workers is not None and build_workers < 1:
-            raise ParameterError(
-                f"build_workers must be >= 1, got {build_workers}"
             )
         if build_mode not in BUILD_MODES:
             raise ParameterError(
@@ -145,7 +135,6 @@ class DataOwner:
         self._backend_params = backend_params
         self._shards = shards
         self._shard_strategy = shard_strategy
-        self._build_workers = build_workers
         self._build_mode = build_mode
 
     @property
@@ -172,11 +161,6 @@ class DataOwner:
     def shard_strategy(self) -> str:
         """Configured shard-assignment strategy."""
         return self._shard_strategy
-
-    @property
-    def build_workers(self) -> int | None:
-        """Configured build concurrency (None = the full shared pool)."""
-        return self._build_workers
 
     @property
     def build_mode(self) -> str:
@@ -206,20 +190,18 @@ class DataOwner:
         vectors: np.ndarray,
         shards: int | None = None,
         shard_strategy: str | None = None,
-        build_workers: int | None = None,
         build_mode: str | None = None,
     ) -> "EncryptedIndex | ShardedEncryptedIndex":
         """Encrypt the database and build the privacy-preserving index.
 
         This is steps B1 + B2 of Figure 3: DCE ciphertexts, DCPE
         ciphertexts, and the filter backend built over the *DCPE*
-        ciphertexts.  ``shards`` / ``shard_strategy`` / ``build_workers``
-        / ``build_mode`` override the owner-level configuration for this
-        build; with an effective shard count >= 2 the filter structures
-        are partitioned into a
-        :class:`~repro.core.sharding.ShardedEncryptedIndex` whose shard
-        backends build in parallel (the encryption steps are identical —
-        shards only ever see ciphertexts).
+        ciphertexts.  ``shards`` / ``shard_strategy`` / ``build_mode``
+        override the owner-level configuration for this build; with an
+        effective shard count >= 2 the filter structures are partitioned
+        into a :class:`~repro.core.sharding.ShardedEncryptedIndex` (the
+        encryption steps are identical — shards only ever see
+        ciphertexts).
 
         The returned index carries a
         :class:`~repro.core.build.BuildReport` (``build_report``) that
@@ -235,12 +217,9 @@ class DataOwner:
         strategy = shard_strategy if shard_strategy is not None else (
             self._shard_strategy
         )
-        workers = build_workers if build_workers is not None else self._build_workers
         mode = build_mode if build_mode is not None else self._build_mode
         if shards is not None and shards < 1:
             raise ParameterError(f"shards must be >= 1, got {shards}")
-        if workers is not None and workers < 1:
-            raise ParameterError(f"build_workers must be >= 1, got {workers}")
         if mode not in BUILD_MODES:
             raise ParameterError(
                 f"unknown build mode {mode!r}; available: {', '.join(BUILD_MODES)}"
@@ -261,7 +240,6 @@ class DataOwner:
                 strategy=strategy,
                 rng=self._rng,
                 params=params,
-                build_workers=workers,
                 build_mode=mode,
             )
             index.build_report.encrypt_seconds = encrypt_seconds
@@ -277,7 +255,6 @@ class DataOwner:
             dim=self._dim,
             shards=1,
             build_mode=mode,
-            build_workers=workers,
             encrypt_seconds=encrypt_seconds,
             build_seconds=time.perf_counter() - build_start,
         )
@@ -405,8 +382,8 @@ class CloudServer:
         (``"heap"`` / ``"vectorized"``) or instance; ``None`` selects
         :data:`repro.core.filterengine.DEFAULT_FILTER_ENGINE`.  Both
         engines are bit-identical — the knob trades the seed's
-        per-query beam search against the flat CSR / batched-kernel
-        path.  Per-call overrides on :meth:`answer` take precedence.
+        per-query beam search against the batched kernels.  Per-call
+        overrides on :meth:`answer` take precedence.
     executor:
         Batch execution mode (one of
         :data:`repro.core.executor.EXECUTOR_MODES`): ``"threads"``

@@ -56,10 +56,6 @@ class PPANNS:
         the filter phase — see :mod:`repro.core.sharding`).
     shard_strategy:
         Shard-assignment strategy (``round_robin`` or ``hash``).
-    build_workers:
-        Concurrency cap for the parallel shard-build fan-out (``None``
-        = the full shared pool; bit-identical output at any setting —
-        see :mod:`repro.core.build`).
     build_mode:
         HNSW construction path (``"sequential"`` — the seed's insert
         loop — or ``"bulk"``, the vectorized path, bit-identical from
@@ -72,8 +68,8 @@ class PPANNS:
         :mod:`repro.core.refine`).
     filter_engine:
         Filter-stage engine the server runs (``"heap"`` — the seed's
-        per-query beam search — or ``"vectorized"`` — the flat CSR /
-        batched-kernel path, bit-identical; ``None`` selects the
+        per-query beam search — or ``"vectorized"`` — the batched
+        kernels, bit-identical; ``None`` selects the
         default — see :mod:`repro.core.filterengine`).
     executor:
         Server-side batch execution mode: ``"threads"`` (default) or
@@ -99,7 +95,6 @@ class PPANNS:
         backend_params=None,
         shards: int | None = None,
         shard_strategy: str = "round_robin",
-        build_workers: int | None = None,
         build_mode: str = "sequential",
         default_ratio_k: int = 8,
         refine_engine: str | None = None,
@@ -118,7 +113,6 @@ class PPANNS:
             backend_params=backend_params,
             shards=shards,
             shard_strategy=shard_strategy,
-            build_workers=build_workers,
             build_mode=build_mode,
             rng=rng,
         )

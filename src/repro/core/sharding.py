@@ -605,13 +605,11 @@ def build_sharded_index(
     strategy: str = "round_robin",
     rng: np.random.Generator | None = None,
     params=None,
-    build_workers: int | None = None,
     build_mode: str = "sequential",
 ) -> ShardedEncryptedIndex:
     """Partition encrypted data into shards and build a backend per shard.
 
-    Shard backends build **in parallel** over the process-wide worker
-    pool (:mod:`repro.core.build`), capped at ``build_workers``.
+    Shard backends build one after another (:mod:`repro.core.build`).
 
     Parameters
     ----------
@@ -629,17 +627,12 @@ def build_sharded_index(
         Randomness for backend construction.  Every shard builds from
         its own child generator derived via
         ``np.random.SeedSequence.spawn`` — a shard's backend is a pure
-        function of its ciphertext slice and its child seed, so the
-        built index is **bit-identical at any** ``build_workers``
-        **setting** (parallel against sequential, for every backend
-        kind; brute-force shards are additionally seed-independent).
-        Two builds from the same generator still differ, as the spawn
+        function of its ciphertext slice and its child seed
+        (brute-force shards are additionally seed-independent).  Two
+        builds from the same generator still differ, as the spawn
         counter advances between calls.
     params:
         Backend construction parameters, shared by every shard.
-    build_workers:
-        Concurrency cap for the shard-build fan-out (``None`` = the
-        full shared pool, ``1`` = build shards sequentially).
     build_mode:
         HNSW construction path (one of
         :data:`repro.core.build.BUILD_MODES`); non-HNSW backends have a
@@ -664,7 +657,6 @@ def build_sharded_index(
         owned,
         rng=rng,
         params=params,
-        build_workers=build_workers,
         build_mode=build_mode,
     )
     build_seconds = time.perf_counter() - start
@@ -686,7 +678,6 @@ def build_sharded_index(
         dim=int(sap_vectors.shape[1]) if sap_vectors.ndim == 2 else 0,
         shards=num_shards,
         build_mode=build_mode,
-        build_workers=build_workers,
         build_seconds=build_seconds,
         shard_timings=timings,
     )

@@ -24,11 +24,8 @@ from repro.eval.metrics import (
 from repro.eval.opcount import QueryCostModel, predict_query_cost
 from repro.eval.plotting import render_curves
 from repro.eval.runner import (
-    BuildCurve,
-    BuildPoint,
     CurvePoint,
     MethodCurve,
-    sweep_build,
     sweep_filter_only,
     sweep_ppanns,
 )
@@ -38,9 +35,6 @@ __all__ = [
     "CostReport",
     "NetworkModel",
     "SetupCost",
-    "BuildCurve",
-    "BuildPoint",
-    "sweep_build",
     "LatencySummary",
     "recall_at_k",
     "mean_recall",

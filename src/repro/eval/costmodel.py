@@ -30,8 +30,8 @@ class SetupCost:
     ``DataOwner.build_index`` both encrypts the database and constructs
     the filter structures; a Fig-9-style cost attribution must charge
     the two to different columns (encryption is cryptographic work the
-    owner always pays; construction parallelizes with
-    ``build_workers``).  The split comes straight from the index's
+    owner always pays; construction depends on the filter backend and
+    shard count).  The split comes straight from the index's
     :class:`~repro.core.build.BuildReport` (:meth:`from_build_report`).
 
     Attributes

@@ -14,10 +14,7 @@ count so ``benchmarks/bench_sharding.py`` can plot the scaling curve.
 :func:`sweep_refine_engine` does the same for the refine stage's
 pluggable engines (:mod:`repro.core.refine`): one curve per engine over
 a shared ``ef_search`` grid, so the heap-vs-vectorized latency gap is
-visible at every operating point.  :func:`sweep_build` sweeps the
-construction pipeline's ``build_workers`` knob
-(:mod:`repro.core.build`), producing the build-time scaling curve
-``benchmarks/bench_build.py`` asserts on.  :func:`sweep_serving`
+visible at every operating point.  :func:`sweep_serving`
 sweeps the online layer's micro-batch latency window
 (:mod:`repro.serve`): one point per window over an open-loop workload,
 reporting served throughput, latency tails, and the realized mean
@@ -32,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.errors import ParameterError
-from repro.core.roles import DataOwner
 from repro.core.scheme import PPANNS
 from repro.eval.metrics import recall_at_k
 from repro.hnsw.bruteforce import exact_knn
@@ -40,15 +36,12 @@ from repro.hnsw.bruteforce import exact_knn
 __all__ = [
     "CurvePoint",
     "MethodCurve",
-    "BuildPoint",
-    "BuildCurve",
     "ServingPoint",
     "ServingCurve",
     "sweep_ppanns",
     "sweep_filter_only",
     "sweep_shards",
     "sweep_refine_engine",
-    "sweep_build",
     "sweep_serving",
     "ground_truth",
 ]
@@ -97,106 +90,6 @@ class MethodCurve:
         """Best QPS among points with recall >= ``recall_floor`` (None if none)."""
         eligible = [p.qps for p in self.points if p.recall >= recall_floor]
         return max(eligible) if eligible else None
-
-
-@dataclass(frozen=True)
-class BuildPoint:
-    """One point of a build-time scaling curve.
-
-    Attributes
-    ----------
-    parameter:
-        The swept parameter value (``build_workers``).
-    encrypt_seconds:
-        Owner-side database-encryption wall clock (worker-independent;
-        reported so the encrypt/build split stays visible).
-    build_seconds:
-        Filter-structure construction wall clock at this setting.
-    shard_seconds:
-        Per-shard build wall clocks (empty for a monolithic build).
-    """
-
-    parameter: float
-    encrypt_seconds: float
-    build_seconds: float
-    shard_seconds: tuple[float, ...] = ()
-
-    @property
-    def total_seconds(self) -> float:
-        """End-to-end owner-side build wall clock."""
-        return self.encrypt_seconds + self.build_seconds
-
-
-@dataclass(frozen=True)
-class BuildCurve:
-    """A labelled build-time scaling curve for one configuration."""
-
-    label: str
-    points: tuple[BuildPoint, ...]
-
-    def speedup(self) -> float:
-        """Build-phase speedup of the best point over the first.
-
-        With a worker grid starting at 1 this is the parallel-over-
-        sequential build speedup (encryption excluded — it is not what
-        the worker knob parallelizes).
-        """
-        first = self.points[0].build_seconds
-        best = min(point.build_seconds for point in self.points)
-        if best <= 0:
-            return float("inf")
-        return first / best
-
-
-def sweep_build(
-    database: np.ndarray,
-    beta: float,
-    worker_grid: tuple[int, ...],
-    backend: str = "hnsw",
-    shards: int = 4,
-    shard_strategy: str = "round_robin",
-    build_mode: str = "sequential",
-    hnsw_params=None,
-    backend_params=None,
-    seed: int = 0,
-    label: str | None = None,
-) -> BuildCurve:
-    """Sweep ``build_workers`` for the parallel index-construction path.
-
-    One owner is built per grid point from an identically seeded
-    generator, so every point constructs the *same* index (the
-    construction pipeline is bit-reproducible at any worker count — see
-    :mod:`repro.core.build`) and the points differ only in wall clock.
-    """
-    points = []
-    for workers in worker_grid:
-        owner = DataOwner(
-            database.shape[1],
-            beta=beta,
-            backend=backend,
-            hnsw_params=hnsw_params,
-            backend_params=backend_params,
-            shards=shards,
-            shard_strategy=shard_strategy,
-            build_workers=workers,
-            build_mode=build_mode,
-            rng=np.random.default_rng(seed),
-        )
-        report = owner.build_index(database).build_report
-        points.append(
-            BuildPoint(
-                parameter=float(workers),
-                encrypt_seconds=report.encrypt_seconds,
-                build_seconds=report.build_seconds,
-                shard_seconds=tuple(
-                    timing.seconds for timing in report.shard_timings
-                ),
-            )
-        )
-    return BuildCurve(
-        label=label if label is not None else f"build({backend}, shards={shards})",
-        points=tuple(points),
-    )
 
 
 @dataclass(frozen=True)

@@ -29,20 +29,17 @@ distance kernels (one kernel call per *selected* neighbor instead of
 one per *candidate*) — which cuts the interpreter dispatch the
 sequential loop pays per insertion.
 
-Two search modes exist as well.  :meth:`HNSWIndex.search` walks the
-per-node ``list[list[int]]`` adjacency with a Python ``set`` for
-visited bookkeeping — the oracle reference.
-:meth:`HNSWIndex.search_vectorized` runs the identical traversal over a
-**flat CSR snapshot** (:class:`_SearchMode`) compiled lazily per graph
-generation: per-layer int64 ``indptr``/``indices`` arrays, an
-epoch-stamped int32 ``visited`` scratch (reset by bumping the epoch,
-never refilled), and the same ``squared_distances_to_many`` kernel on
-CSR-gathered neighbor blocks.  Because the gathered rows, their order,
-and every heap decision match the oracle's, the vectorized path is
-bit-identical — ids, dists, ``distance_computations`` and ``hops`` —
-while skipping the per-expansion list/set churn.  Any adjacency
-mutation bumps ``_adjacency_version``, which invalidates the snapshot;
-the next vectorized search recompiles it.
+Search has one per-query path and one batched path.
+:meth:`HNSWIndex.search` walks the per-node ``list[list[int]]``
+adjacency with a Python ``set`` for visited bookkeeping — Algorithm 1's
+beam search, and the oracle every other path is tested against.
+:meth:`HNSWIndex.search_batch` answers micro-batches of at least
+:data:`LOCKSTEP_MIN_ROWS` queries with :func:`lockstep_beam_search`
+over a **flat CSR snapshot of layer 0** (:class:`_SearchMode`), compiled
+lazily per graph generation; smaller batches loop :meth:`search`, so
+single-query traffic never compiles a snapshot.  Any adjacency mutation
+bumps ``_adjacency_version``, which invalidates the snapshot; the next
+lockstep batch recompiles it.
 """
 
 from __future__ import annotations
@@ -63,6 +60,7 @@ __all__ = [
     "BUILD_MODES",
     "HNSWParams",
     "HNSWIndex",
+    "LOCKSTEP_MIN_ROWS",
     "SearchStats",
     "sorted_id_array",
 ]
@@ -144,9 +142,9 @@ class SearchStats:
     hops:
         Number of node expansions across all layers.
     kernel_seconds:
-        Wall seconds spent inside a compiled filter-engine kernel
-        (CSR/batched search paths); stays 0.0 on the oracle ``heap``
-        engine, mirroring ``RefineOutcome.kernel_seconds``.
+        Wall seconds the ``vectorized`` filter engine spent inside the
+        backend's search call; stays 0.0 on the oracle ``heap`` engine,
+        mirroring ``RefineOutcome.kernel_seconds``.
     """
 
     distance_computations: int = 0
@@ -238,58 +236,36 @@ class _FlatAdjacency:
 
 
 class _SearchMode:
-    """A flat CSR snapshot of the adjacency for the vectorized search path.
+    """A flat CSR snapshot of the layer-0 adjacency for lockstep search.
 
-    One ``(indptr, indices)`` int64 pair per layer: ``indices[indptr[v] :
-    indptr[v + 1]]`` is node ``v``'s neighbor row at that layer, in
-    exactly the order the list-of-lists holds — which is what keeps the
-    vectorized traversal bit-identical to the oracle.  ``version`` pins
-    the snapshot to the ``_adjacency_version`` it was compiled from so a
-    stale snapshot can never answer for a mutated graph.
+    One ``(indptr, indices)`` int64 pair: ``indices[indptr[v] :
+    indptr[v + 1]]`` is node ``v``'s layer-0 neighbor row, in exactly
+    the order the list-of-lists holds — which is what keeps
+    :func:`lockstep_beam_search`, its only reader, bit-identical to the
+    oracle.  ``version`` pins the snapshot to the ``_adjacency_version``
+    it was compiled from so a stale snapshot can never answer for a
+    mutated graph.
 
     The epoch-stamped ``visited`` scratch lives here too, one per thread
     (searches on a shared index run concurrently under the thread
     executor): marking a node visited writes the current epoch into an
-    int32 array, and "clearing" it for the next search is a single epoch
-    bump instead of an O(n) refill.  The arrays may be read-only
+    int32 matrix, and "clearing" it for the next batch is a single epoch
+    bump instead of an O(rows * n) refill.  The arrays may be read-only
     shared-memory views (the process data plane publishes them alongside
     ``C_SAP``); search only ever reads them.
     """
 
     __slots__ = ("version", "indptr", "indices", "_scratch")
 
-    def __init__(
-        self,
-        version: int,
-        indptr: "list[np.ndarray]",
-        indices: "list[np.ndarray]",
-    ) -> None:
+    def __init__(self, version: int, indptr: np.ndarray, indices: np.ndarray) -> None:
         self.version = version
-        self.indptr = indptr
-        self.indices = indices
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int64)
         self._scratch = threading.local()
 
-    def next_epoch(self, count: int) -> tuple[np.ndarray, int]:
-        """This thread's ``(visited, epoch)`` scratch, advanced one epoch."""
-        local = self._scratch
-        visited = getattr(local, "visited", None)
-        if visited is None or visited.shape[0] < count:
-            visited = np.zeros(max(count, 1), dtype=np.int32)
-            local.visited = visited
-            local.epoch = 0
-        epoch = local.epoch + 1
-        if epoch >= np.iinfo(np.int32).max:
-            visited.fill(0)
-            epoch = 1
-        local.epoch = epoch
-        return visited, epoch
-
     def next_epoch_batch(self, count: int, rows: int) -> tuple[np.ndarray, int]:
-        """A ``(rows, count)`` visited scratch for lockstep batch search.
-
-        Same epoch trick as :meth:`next_epoch`, one row per in-flight
-        query, reused across micro-batches on this thread.
-        """
+        """This thread's ``(rows, count)`` visited scratch, advanced one
+        epoch: one row per in-flight query, reused across micro-batches."""
         local = self._scratch
         visited = getattr(local, "batch_visited", None)
         if (
@@ -309,32 +285,37 @@ class _SearchMode:
 
 
 def compile_search_mode(
-    version: int,
-    count: int,
-    layers: "list[list[list[int]] | list[np.ndarray]]",
+    version: int, rows: "list[list[int]] | list[tuple[int, ...]]"
 ) -> _SearchMode:
-    """Compile per-layer neighbor rows into a :class:`_SearchMode`.
+    """Compile per-node layer-0 neighbor rows into a :class:`_SearchMode`.
 
-    ``layers[layer][node]`` is node ``node``'s neighbor sequence at
-    ``layer`` (empty when the node does not reach the layer).  Shared by
-    the HNSW and NSG substrates so the CSR layout cannot drift between
-    them.
+    ``rows[node]`` is node ``node``'s neighbor sequence.  Shared by the
+    HNSW and NSG substrates so the CSR layout cannot drift between them.
     """
-    indptr_layers: "list[np.ndarray]" = []
-    indices_layers: "list[np.ndarray]" = []
-    for rows in layers:
-        counts = np.zeros(count + 1, dtype=np.int64)
-        for node, adjacent in enumerate(rows):
-            counts[node + 1] = len(adjacent)
-        indptr = np.cumsum(counts, dtype=np.int64)
-        indices = np.fromiter(
-            itertools.chain.from_iterable(rows),
-            dtype=np.int64,
-            count=int(indptr[-1]),
-        )
-        indptr_layers.append(indptr)
-        indices_layers.append(indices)
-    return _SearchMode(version, indptr_layers, indices_layers)
+    counts = np.zeros(len(rows) + 1, dtype=np.int64)
+    for node, adjacent in enumerate(rows):
+        counts[node + 1] = len(adjacent)
+    indptr = np.cumsum(counts, dtype=np.int64)
+    indices = np.fromiter(
+        itertools.chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1])
+    )
+    return _SearchMode(version, indptr, indices)
+
+
+#: Fewest query rows ``search_batch`` answers in lockstep; smaller
+#: batches loop the per-query oracle, which needs no snapshot.  Lockstep
+#: amortizes numpy dispatch across rows, so it loses below a crossover.
+#: Lockstep speedup over a loop of ``search`` on the same rows (deep
+#: profile, k'=80, median of 40 interleaved repeats, 2-core host,
+#: Python 3.11 / numpy 2.4):
+#:
+#:   rows          1     2     3     4     5     6     8     16    32
+#:   HNSW n=1500   0.48  0.77  0.95  1.12  1.19  1.26  1.41  1.63  1.68
+#:   NSG  n=3000   0.45  0.67  0.80  0.94  0.99  1.07  1.23  1.32  1.44
+#:
+#: 5 is the first row count at which neither substrate loses.  A code
+#: constant, not a knob: re-measure and edit it here.
+LOCKSTEP_MIN_ROWS = 5
 
 
 def lockstep_beam_search(
@@ -343,16 +324,15 @@ def lockstep_beam_search(
     queries: np.ndarray,
     entry_points: "list[int]",
     ef: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
     mode: _SearchMode,
     stats_list: "list[SearchStats | None]",
 ) -> "list[list[tuple[float, int]]]":
     """All queries' layer-0 beams, advanced in lockstep rounds.
 
-    Bit-identical per query to the single-query flat beam
-    (``HNSWIndex._search_layer_flat`` — one entry point each): every
-    query replays its own pop / termination / accept sequence exactly.
+    Bit-identical per query to the oracle's layer-0 beam
+    (``HNSWIndex._search_layer`` with one entry point, the loop inside
+    ``NSGIndex.search``): every query replays its own pop / termination
+    / accept sequence exactly.
     Each round, every still-active query pops one candidate, and the
     round's per-row work is fused across the batch — one 2D gather and
     scatter against the epoch-stamped visited matrix, and one
@@ -370,6 +350,8 @@ def lockstep_beam_search(
     out of the lockstep; shared by the HNSW and NSG substrates.
     """
     num = queries.shape[0]
+    indptr = mode.indptr
+    indices = mode.indices
     visited, epoch = mode.next_epoch_batch(node_count, num)
     push = heapq.heappush
     pop = heapq.heappop
@@ -899,34 +881,27 @@ class HNSWIndex:
     # -- flat search mode (CSR) -------------------------------------------------
 
     def search_mode(self) -> _SearchMode:
-        """The CSR snapshot of the current adjacency, compiled lazily.
+        """The layer-0 CSR snapshot of the current adjacency, compiled lazily.
 
         Cached per graph generation: any adjacency mutation bumps
         ``_adjacency_version`` and the next call recompiles.  External
         state surgery that bypasses the mutation helpers (the
         persistence ``from_state`` hook writes ``_nodes`` directly) is
         safe because it happens on a fresh graph, before the first
-        search compiles anything.
+        lockstep batch compiles anything.
         """
         mode = self._search_mode
         if mode is not None and mode.version == self._adjacency_version:
             return mode
-        count = len(self._nodes)
-        layers = [
-            [
-                record.neighbors[layer] if layer <= record.level else ()
-                for record in self._nodes
-            ]
-            for layer in range(self._max_level + 1)
-        ]
-        mode = compile_search_mode(self._adjacency_version, count, layers)
+        mode = compile_search_mode(
+            self._adjacency_version,
+            [record.neighbors[0] for record in self._nodes],
+        )
         self._search_mode = mode
         return mode
 
-    def adopt_search_mode(
-        self, layers: "list[tuple[np.ndarray, np.ndarray]]"
-    ) -> None:
-        """Install precompiled per-layer ``(indptr, indices)`` CSR arrays.
+    def adopt_search_mode(self, indptr: np.ndarray, indices: np.ndarray) -> None:
+        """Install a precompiled layer-0 ``(indptr, indices)`` CSR pair.
 
         The process data plane publishes the parent's compiled snapshot
         through shared memory and each worker adopts the zero-copy views
@@ -935,14 +910,12 @@ class HNSWIndex:
         later mutation invalidates it exactly like a locally compiled
         one.
         """
-        indptr = [np.asarray(ptr, dtype=np.int64) for ptr, _ in layers]
-        indices = [np.asarray(idx, dtype=np.int64) for _, idx in layers]
         self._search_mode = _SearchMode(self._adjacency_version, indptr, indices)
 
-    def search_mode_arrays(self) -> "list[tuple[np.ndarray, np.ndarray]]":
-        """The compiled snapshot's per-layer arrays (for shm publishing)."""
+    def search_mode_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The compiled snapshot's ``(indptr, indices)`` (for shm publishing)."""
         mode = self.search_mode()
-        return list(zip(mode.indptr, mode.indices))
+        return mode.indptr, mode.indices
 
     # -- search ----------------------------------------------------------------
 
@@ -1024,129 +997,6 @@ class HNSWIndex:
         ordered = sorted((-negated, item) for negated, item in results)
         return ordered
 
-    def _greedy_closest_flat(
-        self, query: np.ndarray, start: int, layer: int, mode: _SearchMode
-    ) -> int:
-        """CSR twin of :meth:`_greedy_closest` — identical walk."""
-        indptr = mode.indptr[layer]
-        indices = mode.indices[layer]
-        buffer = self._buffer
-        current = start
-        current_dist = float(
-            squared_distances_to_many(query, buffer[current][np.newaxis])[0]
-        )
-        improved = True
-        while improved:
-            improved = False
-            neighbor_ids = indices[indptr[current] : indptr[current + 1]]
-            if neighbor_ids.shape[0] == 0:
-                break
-            dists = squared_distances_to_many(query, buffer[neighbor_ids])
-            best = int(np.argmin(dists))
-            if dists[best] < current_dist:
-                current = int(neighbor_ids[best])
-                current_dist = float(dists[best])
-                improved = True
-        return current
-
-    def _search_layer_flat(
-        self,
-        query: np.ndarray,
-        entry_points: list[int],
-        ef: int,
-        layer: int,
-        mode: _SearchMode,
-        stats: SearchStats | None = None,
-    ) -> list[tuple[float, int]]:
-        """CSR twin of :meth:`_search_layer` — bit-identical beam.
-
-        Every decision the oracle makes is replayed on the flat
-        representation: the CSR row preserves neighbor-list order, the
-        epoch-stamped mask keeps exactly the oracle's not-yet-visited
-        subsequence, and the distance block is the same
-        ``squared_distances_to_many`` einsum over the same gathered rows
-        (per-row reductions are independent of batch composition, the
-        invariant the bulk build already relies on).  Stats accounting —
-        including the hop charged on an all-visited expansion — matches
-        line for line.
-
-        Once the beam is full its acceptance bound only ever tightens
-        (every accept replaces the current worst with something
-        strictly better), so a neighbor at or beyond the bound *before*
-        the row is processed is rejected no matter what gets accepted
-        ahead of it.  That makes the reject decisions — the vast
-        majority late in the search — safe to take vectorized in one
-        mask, leaving only the few potential accepts for the sequential
-        decision loop.  Heap behavior is value-deterministic (pops
-        compare ``(dist, id)`` tuples, never insertion order), so the
-        pruned replay keeps the oracle's heap contents, and therefore
-        its traversal, exactly.
-        """
-        indptr = mode.indptr[layer]
-        indices = mode.indices[layer]
-        visited, epoch = mode.next_epoch(len(self._nodes))
-        for point in entry_points:
-            visited[point] = epoch
-        entry_dists = squared_distances_to_many(query, self._buffer[entry_points])
-        if stats is not None:
-            stats.distance_computations += len(entry_points)
-        candidates = [(float(d), p) for d, p in zip(entry_dists, entry_points)]
-        heapq.heapify(candidates)  # min-heap by distance
-        results = [(-float(d), p) for d, p in zip(entry_dists, entry_points)]
-        heapq.heapify(results)  # max-heap via negation
-        while len(results) > ef:
-            heapq.heappop(results)
-        buffer = self._buffer
-        push = heapq.heappush
-        pop = heapq.heappop
-        while candidates:
-            dist, node = pop(candidates)
-            if results and dist > -results[0][0] and len(results) >= ef:
-                break
-            if stats is not None:
-                stats.hops += 1
-            adjacent = indices[indptr[node] : indptr[node + 1]]
-            if adjacent.shape[0]:
-                fresh = adjacent[visited[adjacent] != epoch]
-            else:
-                fresh = adjacent
-            if fresh.shape[0] == 0:
-                continue
-            visited[fresh] = epoch
-            # Inlined squared_distances_to_many (one call per expansion
-            # is the hot path's dominant dispatch cost).
-            diff = buffer[fresh] - query
-            dists = np.einsum("ij,ij->i", diff, diff)
-            if stats is not None:
-                stats.distance_computations += fresh.shape[0]
-            if len(results) >= ef:
-                # Full beam: the bound is non-increasing, so reject
-                # everything at/beyond it in one mask (see docstring).
-                bound = -results[0][0]
-                keep = dists < bound
-                if not keep.all():
-                    fresh = fresh[keep]
-                    if fresh.shape[0] == 0:
-                        continue
-                    dists = dists[keep]
-                for neighbor_dist, neighbor in zip(dists.tolist(), fresh.tolist()):
-                    if neighbor_dist < bound:
-                        push(candidates, (neighbor_dist, neighbor))
-                        push(results, (-neighbor_dist, neighbor))
-                        pop(results)
-                        bound = -results[0][0]
-            else:
-                bound = math.inf
-                for neighbor_dist, neighbor in zip(dists.tolist(), fresh.tolist()):
-                    if neighbor_dist < bound or len(results) < ef:
-                        push(candidates, (neighbor_dist, neighbor))
-                        push(results, (-neighbor_dist, neighbor))
-                        if len(results) > ef:
-                            pop(results)
-                        bound = -results[0][0] if len(results) >= ef else math.inf
-        ordered = sorted((-negated, item) for negated, item in results)
-        return ordered
-
     def search(
         self,
         query: np.ndarray,
@@ -1195,44 +1045,6 @@ class HNSWIndex:
         dists = np.array([dist for dist, _ in top])
         return ids, dists
 
-    def search_vectorized(
-        self,
-        query: np.ndarray,
-        k: int,
-        ef_search: int | None = None,
-        stats: SearchStats | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Bit-identical twin of :meth:`search` over the CSR search mode.
-
-        Same contract, same validation, same results (ids, dists, and
-        stats counters) — but the traversal runs on the flat
-        :class:`_SearchMode` snapshot: CSR slices instead of Python
-        lists, an epoch-stamped visited array instead of a ``set``, and
-        heap values converted once per distance block.  Compiles the
-        snapshot lazily if the adjacency changed since the last call.
-        """
-        if k <= 0:
-            raise ParameterError(f"k must be positive, got {k}")
-        query = np.asarray(query, dtype=np.float64)
-        if query.ndim != 1 or query.shape[0] != self._dim:
-            raise DimensionMismatchError(self._dim, query.shape[-1], what="query")
-        if self._entry_point is None:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        ef = ef_search if ef_search is not None else max(k, 2 * self._params.m)
-        if ef < k:
-            raise ParameterError(f"ef_search ({ef}) must be >= k ({k})")
-        mode = self.search_mode()
-        current = self._entry_point
-        for layer in range(self._max_level, 0, -1):
-            current = self._greedy_closest_flat(query, current, layer, mode)
-        beam = ef + len(self._deleted)
-        found = self._search_layer_flat(query, [current], beam, 0, mode, stats=stats)
-        live = [(dist, item) for dist, item in found if item not in self._deleted]
-        top = live[:k]
-        ids = np.array([item for _, item in top], dtype=np.int64)
-        dists = np.array([dist for dist, _ in top])
-        return ids, dists
-
     def search_batch(
         self,
         queries: np.ndarray,
@@ -1240,15 +1052,17 @@ class HNSWIndex:
         ef_search: int | None = None,
         stats_list: "list[SearchStats] | None" = None,
     ) -> "list[tuple[np.ndarray, np.ndarray]]":
-        """Lockstep multi-query twin of :meth:`search` — bit-identical
-        per query.
+        """Multi-query :meth:`search` — bit-identical per query.
 
-        Every query's beam advances one node expansion per round, and
-        the round's distance blocks — one per expanding query — are
+        Fewer than :data:`LOCKSTEP_MIN_ROWS` rows are a plain loop of
+        :meth:`search` on the calling thread.  From the crossover up,
+        every query descends the upper layers with the oracle's greedy
+        walk and the layer-0 beams advance in lockstep: one node
+        expansion per query per round, the round's distance blocks
         fused into a single gather + subtract + einsum over the
-        concatenated neighbor rows.  Per-row reductions are independent
-        of batch composition (the invariant the bulk build and the flat
-        single-query path already rely on), and each query's
+        concatenated neighbor rows (:func:`lockstep_beam_search`).
+        Per-row reductions are independent of batch composition (the
+        invariant the bulk build already relies on), and each query's
         pop/expand/accept sequence is untouched, so ids, distances and
         stats are exactly what :meth:`search` returns for that query
         alone; only the numpy dispatch cost is amortized across the
@@ -1271,13 +1085,17 @@ class HNSWIndex:
             raise ParameterError(f"ef_search ({ef}) must be >= k ({k})")
         if stats_list is None:
             stats_list = [None] * num
-        mode = self.search_mode()
+        if num < LOCKSTEP_MIN_ROWS:
+            return [
+                self.search(queries[row], k, ef_search=ef_search, stats=stats_list[row])
+                for row in range(num)
+            ]
         beam = ef + len(self._deleted)
         entries = []
         for row in range(num):
             current = self._entry_point
             for layer in range(self._max_level, 0, -1):
-                current = self._greedy_closest_flat(queries[row], current, layer, mode)
+                current = self._greedy_closest(queries[row], current, layer)
             entries.append(current)
         found = lockstep_beam_search(
             self._buffer,
@@ -1285,9 +1103,7 @@ class HNSWIndex:
             queries,
             entries,
             beam,
-            mode.indptr[0],
-            mode.indices[0],
-            mode,
+            self.search_mode(),
             stats_list,
         )
         out = []

@@ -29,6 +29,7 @@ import numpy as np
 from repro.core.errors import DimensionMismatchError, ParameterError
 from repro.hnsw.distance import pairwise_squared_distances, squared_distances_to_many
 from repro.hnsw.graph import (
+    LOCKSTEP_MIN_ROWS,
     SearchStats,
     _SearchMode,
     compile_search_mode,
@@ -287,24 +288,18 @@ class NSGIndex:
         mode = self._search_mode
         if mode is not None and mode.version == self._adjacency_version:
             return mode
-        mode = compile_search_mode(
-            self._adjacency_version, self.size, [self._neighbors]
-        )
+        mode = compile_search_mode(self._adjacency_version, self._neighbors)
         self._search_mode = mode
         return mode
 
-    def adopt_search_mode(
-        self, layers: "list[tuple[np.ndarray, np.ndarray]]"
-    ) -> None:
-        """Install precompiled CSR arrays (the shm zero-copy attach)."""
-        indptr = [np.asarray(ptr, dtype=np.int64) for ptr, _ in layers]
-        indices = [np.asarray(idx, dtype=np.int64) for _, idx in layers]
+    def adopt_search_mode(self, indptr: np.ndarray, indices: np.ndarray) -> None:
+        """Install a precompiled CSR pair (the shm zero-copy attach)."""
         self._search_mode = _SearchMode(self._adjacency_version, indptr, indices)
 
-    def search_mode_arrays(self) -> "list[tuple[np.ndarray, np.ndarray]]":
-        """The compiled snapshot's per-layer arrays (for shm publishing)."""
+    def search_mode_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The compiled snapshot's ``(indptr, indices)`` (for shm publishing)."""
         mode = self.search_mode()
-        return list(zip(mode.indptr, mode.indices))
+        return mode.indptr, mode.indices
 
     def mark_deleted(self, node: int) -> None:
         """Tombstone ``node``: it keeps routing but never appears in results."""
@@ -378,11 +373,13 @@ class NSGIndex:
         ef_search: int | None = None,
         stats_list: "list[SearchStats | None] | None" = None,
     ) -> "list[tuple[np.ndarray, np.ndarray]]":
-        """Lockstep multi-query twin of :meth:`search_vectorized`.
+        """Multi-query :meth:`search` — bit-identical per query.
 
-        Every query starts at the medoid and replays its own beam
-        decisions exactly (ids, distances, stats all bit-identical to
-        :meth:`search`); the per-round neighbor distance blocks are
+        Fewer than :data:`~repro.hnsw.graph.LOCKSTEP_MIN_ROWS` rows are
+        a plain loop of :meth:`search`.  From the crossover up, every
+        query starts at the medoid and replays its own beam decisions
+        exactly (ids, distances, stats all bit-identical to
+        :meth:`search`) while the per-round neighbor distance blocks are
         fused across the batch (see
         :func:`repro.hnsw.graph.lockstep_beam_search`).
         """
@@ -401,11 +398,15 @@ class NSGIndex:
             raise ParameterError(f"ef_search ({ef}) must be >= k ({k})")
         if stats_list is None:
             stats_list = [None] * num
+        if num < LOCKSTEP_MIN_ROWS:
+            return [
+                self.search(queries[row], k, ef_search=ef_search, stats=stats_list[row])
+                for row in range(num)
+            ]
         beam = ef + len(self._deleted)
-        mode = self.search_mode()
         found = lockstep_beam_search(
             self._vectors, self.size, queries, [self._medoid] * num, beam,
-            mode.indptr[0], mode.indices[0], mode, stats_list,
+            self.search_mode(), stats_list,
         )
         out = []
         for row in range(num):
@@ -418,95 +419,3 @@ class NSGIndex:
             dists_out = np.array([dist for dist, _ in top])
             out.append((ids, dists_out))
         return out
-
-    def search_vectorized(
-        self,
-        query: np.ndarray,
-        k: int,
-        ef_search: int | None = None,
-        stats: SearchStats | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Bit-identical twin of :meth:`search` over the CSR search mode.
-
-        Same validation, same beam decisions, same stats accounting —
-        the traversal just reads CSR slices and an epoch-stamped visited
-        array instead of Python lists and a ``set`` (see
-        :meth:`repro.hnsw.graph.HNSWIndex.search_vectorized`).
-        """
-        if k <= 0:
-            raise ParameterError(f"k must be positive, got {k}")
-        query = np.asarray(query, dtype=np.float64)
-        if query.ndim != 1 or query.shape[0] != self.dim:
-            raise DimensionMismatchError(self.dim, query.shape[-1], what="query")
-        ef = ef_search if ef_search is not None else max(k, 2 * self._params.max_degree)
-        if ef < k:
-            raise ParameterError(f"ef_search ({ef}) must be >= k ({k})")
-        beam = ef + len(self._deleted)
-        mode = self.search_mode()
-        indptr = mode.indptr[0]
-        indices = mode.indices[0]
-        visited_arr, epoch = mode.next_epoch(self.size)
-        vectors = self._vectors
-        start_dist = float(
-            squared_distances_to_many(query, vectors[self._medoid][np.newaxis])[0]
-        )
-        if stats is not None:
-            stats.distance_computations += 1
-        visited_arr[self._medoid] = epoch
-        candidates = [(start_dist, self._medoid)]
-        results = [(-start_dist, self._medoid)]
-        push = heapq.heappush
-        pop = heapq.heappop
-        while candidates:
-            dist, node = pop(candidates)
-            if len(results) >= beam and dist > -results[0][0]:
-                break
-            if stats is not None:
-                stats.hops += 1
-            adjacent = indices[indptr[node] : indptr[node + 1]]
-            if adjacent.shape[0]:
-                fresh = adjacent[visited_arr[adjacent] != epoch]
-            else:
-                fresh = adjacent
-            if fresh.shape[0] == 0:
-                continue
-            visited_arr[fresh] = epoch
-            # Inlined squared_distances_to_many (the hot path's
-            # dominant dispatch cost).
-            diff = vectors[fresh] - query
-            dists = np.einsum("ij,ij->i", diff, diff)
-            if stats is not None:
-                stats.distance_computations += fresh.shape[0]
-            if len(results) >= beam:
-                # Full beam: the acceptance bound only ever tightens,
-                # so neighbors at/beyond it are rejected in one mask —
-                # same accepted multiset, same heap contents (see
-                # HNSWIndex._search_layer_flat).
-                bound = -results[0][0]
-                keep = dists < bound
-                if not keep.all():
-                    fresh = fresh[keep]
-                    if fresh.shape[0] == 0:
-                        continue
-                    dists = dists[keep]
-                for neighbor_dist, neighbor in zip(dists.tolist(), fresh.tolist()):
-                    if neighbor_dist < bound:
-                        push(candidates, (neighbor_dist, neighbor))
-                        push(results, (-neighbor_dist, neighbor))
-                        pop(results)
-                        bound = -results[0][0]
-            else:
-                bound = math.inf
-                for neighbor_dist, neighbor in zip(dists.tolist(), fresh.tolist()):
-                    if neighbor_dist < bound or len(results) < beam:
-                        push(candidates, (neighbor_dist, neighbor))
-                        push(results, (-neighbor_dist, neighbor))
-                        if len(results) > beam:
-                            pop(results)
-                        bound = -results[0][0] if len(results) >= beam else math.inf
-        ordered = sorted((-negated, node) for negated, node in results)
-        live = [(dist, node) for dist, node in ordered if node not in self._deleted]
-        top = live[:k]
-        ids = np.array([node for _, node in top], dtype=np.int64)
-        dists_out = np.array([dist for dist, _ in top])
-        return ids, dists_out

@@ -1,4 +1,4 @@
-"""Unit tests for the parallel index-construction pipeline."""
+"""Unit tests for the index-construction pipeline."""
 
 import numpy as np
 import pytest
@@ -8,17 +8,14 @@ from repro.core.build import (
     BuildReport,
     ShardBuildTiming,
     build_shard_backends,
-    resolve_build_workers,
     spawn_shard_rngs,
 )
 from repro.core.errors import ParameterError
-from repro.core.executor import pool_width
-from repro.core.persistence import load_index, save_index
+from repro.core.persistence import _index_arrays, load_index, save_index
 from repro.core.roles import DataOwner
 from repro.core.scheme import PPANNS
 from repro.core.sharding import build_sharded_index
 from repro.eval.costmodel import SetupCost
-from repro.eval.runner import sweep_build
 from tests.conftest import FAST_HNSW
 
 
@@ -27,22 +24,12 @@ def _database(n=60, dim=8, seed=0):
 
 
 class TestKnobValidation:
-    def test_resolve_build_workers(self):
-        assert resolve_build_workers(None) == pool_width()
-        assert resolve_build_workers(3) == 3
-        with pytest.raises(ParameterError):
-            resolve_build_workers(0)
-
     def test_owner_rejects_bad_knobs(self):
-        with pytest.raises(ParameterError):
-            DataOwner(4, beta=0.3, build_workers=0)
         with pytest.raises(ParameterError):
             DataOwner(4, beta=0.3, build_mode="turbo")
 
     def test_build_index_override_validation(self):
         owner = DataOwner(8, beta=0.3, backend="bruteforce")
-        with pytest.raises(ParameterError):
-            owner.build_index(_database(), build_workers=-1)
         with pytest.raises(ParameterError):
             owner.build_index(_database(), build_mode="turbo")
 
@@ -132,13 +119,13 @@ class TestBuildReport:
             dim=4,
             shards=2,
             build_mode="bulk",
-            build_workers=None,
             encrypt_seconds=0.5,
             build_seconds=1.5,
             shard_timings=(ShardBuildTiming(0, 1.0, 5), ShardBuildTiming(1, 0.5, 5)),
         )
         payload = report.as_dict()
         assert payload["total_seconds"] == 2.0
+        assert "build_workers" not in payload
         assert payload["shard_timings"][1] == {
             "shard_id": 1,
             "seconds": 0.5,
@@ -154,20 +141,15 @@ class TestBuildReport:
 
     def test_ppanns_passes_knobs(self):
         scheme = PPANNS(
-            dim=8, beta=0.3, backend="bruteforce", shards=2,
-            build_workers=2, build_mode="bulk",
+            dim=8, beta=0.3, backend="bruteforce", shards=2, build_mode="bulk",
         ).fit(_database())
-        report = scheme.server.index.build_report
-        assert report.build_workers == 2
-        assert report.build_mode == "bulk"
+        assert scheme.server.index.build_report.build_mode == "bulk"
 
 
 class TestPersistedBuildMetadata:
     @pytest.mark.parametrize("shards", [1, 3])
     def test_roundtrip(self, shards, tmp_path):
-        owner = DataOwner(
-            8, beta=0.3, backend="bruteforce", shards=shards, build_workers=2
-        )
+        owner = DataOwner(8, beta=0.3, backend="bruteforce", shards=shards)
         index = owner.build_index(_database(n=30))
         path = tmp_path / "index.npz"
         save_index(path, index)
@@ -178,7 +160,6 @@ class TestPersistedBuildMetadata:
         assert restored.encrypt_seconds == original.encrypt_seconds
         assert restored.build_seconds == original.build_seconds
         assert restored.build_mode == original.build_mode
-        assert restored.build_workers == 2
         assert restored.shards == (shards if shards > 1 else 1)
         assert [
             (t.shard_id, t.seconds, t.num_vectors) for t in restored.shard_timings
@@ -193,14 +174,26 @@ class TestPersistedBuildMetadata:
         save_index(path, index)
         assert load_index(path).build_report is None
 
-    def test_none_workers_roundtrip(self, tmp_path):
-        index = DataOwner(8, beta=0.3, backend="bruteforce", shards=2).build_index(
-            _database()
-        )
-        assert index.build_report.build_workers is None
-        path = tmp_path / "index.npz"
-        save_index(path, index)
-        assert load_index(path).build_report.build_workers is None
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_legacy_build_workers_key_is_ignored(self, shards, tmp_path):
+        """Files written before the sequential-build change still load.
+
+        They carry a ``build_workers`` array beside the other build
+        metadata (``-1`` encoded "the full pool"); it is neither
+        required nor read.
+        """
+        index = DataOwner(
+            8, beta=0.3, backend="bruteforce", shards=shards
+        ).build_index(_database())
+        arrays = _index_arrays(index)
+        assert "build_workers" not in arrays
+        arrays["build_workers"] = np.array([-1], dtype=np.int64)
+        path = tmp_path / "legacy.npz"
+        np.savez_compressed(path, **arrays)
+        restored = load_index(path).build_report
+        assert restored.build_seconds == index.build_report.build_seconds
+        assert restored.build_mode == index.build_report.build_mode
+        assert not hasattr(restored, "build_workers")
 
 
 class TestBuildShardedIndex:
@@ -210,28 +203,12 @@ class TestBuildShardedIndex:
         full = owner.build_index(data)
         index = build_sharded_index(
             full.sap_vectors, full.dce_database, backend="bruteforce",
-            num_shards=2, build_workers=2,
+            num_shards=2,
         )
         report = index.build_report
         assert report.encrypt_seconds == 0.0
         assert report.shards == 2
         assert len(report.shard_timings) == 2
-
-
-class TestSweepBuild:
-    def test_sweep_points_and_speedup(self):
-        curve = sweep_build(
-            _database(n=40),
-            beta=0.3,
-            worker_grid=(1, 2),
-            backend="bruteforce",
-            shards=2,
-        )
-        assert len(curve.points) == 2
-        assert curve.points[0].parameter == 1.0
-        assert all(point.encrypt_seconds > 0 for point in curve.points)
-        assert all(len(point.shard_seconds) == 2 for point in curve.points)
-        assert curve.speedup() > 0
 
 
 class TestSetupCost:

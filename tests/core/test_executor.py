@@ -98,40 +98,6 @@ class TestMapOrdered:
         assert results == [3] * (pool_width() + 2)
         assert all(inner_flags)
 
-    def test_max_workers_one_runs_inline(self):
-        thread_names = []
-
-        def record(x):
-            thread_names.append(threading.current_thread().name)
-            return x + 1
-
-        assert map_ordered(record, range(4), max_workers=1) == [1, 2, 3, 4]
-        assert set(thread_names) == {threading.current_thread().name}
-
-    def test_max_workers_preserves_order_and_results(self):
-        def staggered(i):
-            time.sleep(0.01 * (5 - i))
-            return i
-
-        assert map_ordered(staggered, range(6), max_workers=2) == list(range(6))
-
-    def test_max_workers_error_position_spans_waves(self):
-        # The wave split must not change which failure is reported: the
-        # first failing *input position*, even across wave boundaries.
-        def task(i):
-            if i == 5:
-                raise KeyError("later wave")
-            if i == 1:
-                raise ValueError("first wave")
-            return i
-
-        with pytest.raises(ValueError, match="first wave"):
-            map_ordered(task, range(6), max_workers=2)
-
-    def test_invalid_max_workers_rejected(self):
-        with pytest.raises(ValueError):
-            map_ordered(lambda x: x, range(3), max_workers=0)
-
     def test_saturating_nested_fanout_completes(self):
         # More outer tasks than workers, each nesting another fan-out;
         # completes quickly when the inner level runs inline.
@@ -169,15 +135,14 @@ class TestMapSettled:
         assert Settled(value=7).unwrap() == 7
 
     def test_inline_path_isolates_too(self):
-        """Single-item / capped / nested calls keep settled semantics."""
+        """A single-item call runs inline and keeps settled semantics."""
         def task(i):
             if i == 0:
                 raise ValueError("first fails")
             return i
 
-        settled = map_settled(task, range(3), max_workers=1)
-        assert [s.ok for s in settled] == [False, True, True]
-        assert [s.value for s in settled[1:]] == [1, 2]
+        assert [s.ok for s in map_settled(task, [0])] == [False]
+        assert [s.value for s in map_settled(task, [1])] == [1]
 
     def test_nested_fanout_settles_inline(self):
         def inner(i):

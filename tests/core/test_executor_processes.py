@@ -5,7 +5,12 @@ indexes tiny and worker counts at 1-2; the broad backend x mode x shard
 sweep lives in ``tests/strategies/test_executor_properties.py``.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +49,11 @@ def _workload(shards=2, n=80, dim=8, queries=6, k=3, mode="full", seed=33):
     rows = np.random.default_rng(seed + 3).standard_normal((queries, dim)) * 2.0
     batch = user.encrypt_queries(rows, k, mode=mode)
     return index, batch
+
+
+def _shm_listing():
+    """Names under /dev/shm, where Linux keeps the plane's arenas."""
+    return sorted(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else []
 
 
 def _assert_same_answers(thread_results, process_results):
@@ -207,13 +217,61 @@ class TestPlaneLifecycle:
     def test_constructor_failure_unlinks_arena(self, monkeypatch):
         index, _ = _workload(queries=1)
 
-        def sabotaged_recv(self, worker_index):
+        def sabotaged_recv(self, worker_index, starting=False):
             raise DataPlaneError("injected handshake failure")
 
         monkeypatch.setattr(ProcessDataPlane, "_recv", sabotaged_recv)
         with pytest.raises(DataPlaneError, match="injected"):
             ProcessDataPlane(index, workers=1)
         assert not active_arenas()
+
+    def test_unguarded_main_fails_fast_and_unlinks_arena(self, tmp_path):
+        """An entry script with no ``__main__`` guard must not hang.
+
+        Each spawned worker re-imports the script, reaches the plane at
+        module level and is killed by multiprocessing before its
+        handshake.  The parent used to block forever writing the
+        worker's (large) spawn arguments to the dead child; it must
+        instead raise a typed error naming the guard and unlink the
+        arena.
+        """
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            textwrap.dedent(
+                """
+                import sys
+
+                import numpy as np
+
+                from repro.core.plane import DataPlaneError, ProcessDataPlane
+                from repro.core.roles import DataOwner
+
+                rng = np.random.default_rng(0)
+                owner = DataOwner(12, beta=0.5, backend="hnsw", rng=rng)
+                index = owner.build_index(rng.standard_normal((200, 12)) * 2.0)
+                try:
+                    ProcessDataPlane(index, workers=1)
+                except DataPlaneError as exc:
+                    print(f"DataPlaneError: {exc}")
+                    sys.exit(3)
+                """
+            )
+        )
+        src = Path(plane_module.__file__).resolve().parents[2]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        shm_before = _shm_listing()
+        done = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert done.returncode == 3, done.stderr
+        assert "DataPlaneError: worker 0" in done.stdout
+        assert "died during start-up" in done.stdout
+        assert 'if __name__ == "__main__":' in done.stdout
+        assert _shm_listing() == shm_before
 
     def test_spawn_context_inherits_no_pool_state(self):
         from repro.core.executor import shared_pool

@@ -1,11 +1,13 @@
-"""Flat CSR search modes, the reverse-adjacency map, and tombstone beams.
+"""The layer-0 CSR snapshot, the reverse-adjacency map, and tombstone beams.
 
 Covers the filter-engine substrate at the graph layer:
 
-* ``search_mode`` compiles lazily per adjacency generation and any
-  mutation invalidates it; ``adopt_search_mode`` installs a published
-  snapshot zero-copy and it answers identically to a locally compiled
-  one.
+* ``search_mode`` compiles lazily per adjacency generation — only when a
+  batch is large enough to run in lockstep — and any mutation
+  invalidates it; ``adopt_search_mode`` installs a published snapshot
+  zero-copy and it answers identically to a locally compiled one.
+* ``search_batch`` replays ``search`` exactly on both sides of the
+  ``LOCKSTEP_MIN_ROWS`` crossover.
 * ``in_neighbors`` / ``remove_edges_to`` are served from an
   incrementally maintained reverse-adjacency map; these tests pin their
   answers to a brute-force scan of the forward adjacency (the seed
@@ -18,12 +20,22 @@ Covers the filter-engine substrate at the graph layer:
 import numpy as np
 import pytest
 
-from repro.hnsw.graph import HNSWIndex, HNSWParams, SearchStats
+from repro.hnsw.graph import LOCKSTEP_MIN_ROWS, HNSWIndex, HNSWParams, SearchStats
 from repro.hnsw.nsg import NSGIndex, NSGParams
 
 
 def _deleted(index) -> set:
     return set(index.deleted_ids().tolist())
+
+
+def _lockstep(index):
+    """``search``'s signature, answered by the lockstep batch path."""
+
+    def search(query, k, ef_search=None):
+        block = np.tile(query, (LOCKSTEP_MIN_ROWS, 1))
+        return index.search_batch(block, k, ef_search=ef_search)[-1]
+
+    return search
 
 
 def _node_count(index: HNSWIndex) -> int:
@@ -124,7 +136,7 @@ class TestTombstoneBeam:
         near, _ = index.search(query, 40, ef_search=90)
         for node in near.tolist():
             index.mark_deleted(node)
-        for method in (index.search, index.search_vectorized):
+        for method in (index.search, _lockstep(index)):
             ids, dists = method(query, 10, ef_search=12)
             assert ids.shape[0] == 10
             assert not set(ids.tolist()) & _deleted(index)
@@ -138,11 +150,15 @@ class TestTombstoneBeam:
         near, _ = index.search(query, 40, ef_search=90)
         for node in near.tolist():
             index.mark_deleted(node)
-        for method in (index.search, index.search_vectorized):
+        for method in (index.search, _lockstep(index)):
             ids, dists = method(query, 10, ef_search=12)
             assert ids.shape[0] == 10
             assert not set(ids.tolist()) & _deleted(index)
             assert np.all(np.diff(dists) >= 0)
+
+
+#: Batch sizes on both sides of the lockstep crossover.
+_ROW_COUNTS = (1, LOCKSTEP_MIN_ROWS - 1, LOCKSTEP_MIN_ROWS, 9)
 
 
 class TestSearchMode:
@@ -155,7 +171,24 @@ class TestSearchMode:
         index.insert(rng.standard_normal(6))
         fresh = index.search_mode()
         assert fresh is not mode
-        assert fresh.indptr[0].shape[0] == _node_count(index) + 1
+        assert fresh.indptr.shape[0] == _node_count(index) + 1
+
+    @pytest.mark.parametrize("kind", ["hnsw", "nsg"])
+    def test_only_lockstep_batches_compile_a_snapshot(self, kind):
+        """Single queries and sub-crossover batches never pay for one."""
+        rng = np.random.default_rng(5)
+        vectors = rng.standard_normal((40, 6))
+        if kind == "hnsw":
+            index = HNSWIndex(6, HNSWParams(m=4, ef_construction=30), rng=rng)
+            index.build(vectors)
+        else:
+            index = NSGIndex(vectors, NSGParams(knn=6, max_degree=4))
+        queries = rng.standard_normal((LOCKSTEP_MIN_ROWS, 6))
+        index.search(queries[0], 3)
+        index.search_batch(queries[: LOCKSTEP_MIN_ROWS - 1], 3)
+        assert index._search_mode is None
+        index.search_batch(queries, 3)
+        assert index._search_mode is not None
 
     def test_adopted_snapshot_answers_identically(self):
         def build():
@@ -165,43 +198,36 @@ class TestSearchMode:
             return index
 
         index, twin = build(), build()
-        twin.adopt_search_mode(index.search_mode_arrays())
+        twin.adopt_search_mode(*index.search_mode_arrays())
         # Zero-copy: the twin serves the publisher's arrays themselves.
-        assert twin.search_mode().indptr[0] is index.search_mode().indptr[0]
-        assert twin.search_mode().indices[0] is index.search_mode().indices[0]
-        query = np.random.default_rng(8).standard_normal(6)
-        stats_a, stats_b = SearchStats(), SearchStats()
-        ids_a, dists_a = index.search_vectorized(query, 5, stats=stats_a)
-        ids_b, dists_b = twin.search_vectorized(query, 5, stats=stats_b)
-        assert np.array_equal(ids_a, ids_b)
-        assert np.array_equal(dists_a, dists_b)
-        assert stats_a.distance_computations == stats_b.distance_computations
-        assert stats_a.hops == stats_b.hops
-
-    def test_vectorized_matches_heap_on_the_same_graph(self, medium_graph):
-        index, vectors = medium_graph
-        rng = np.random.default_rng(8)
-        for query in rng.standard_normal((5, 12)):
-            stats_h, stats_v = SearchStats(), SearchStats()
-            ids_h, dists_h = index.search(query, 7, ef_search=40, stats=stats_h)
-            ids_v, dists_v = index.search_vectorized(
-                query, 7, ef_search=40, stats=stats_v
+        assert twin.search_mode().indptr is index.search_mode().indptr
+        assert twin.search_mode().indices is index.search_mode().indices
+        queries = np.random.default_rng(8).standard_normal((LOCKSTEP_MIN_ROWS, 6))
+        stats_a = [SearchStats() for _ in queries]
+        stats_b = [SearchStats() for _ in queries]
+        answers_a = index.search_batch(queries, 5, stats_list=stats_a)
+        answers_b = twin.search_batch(queries, 5, stats_list=stats_b)
+        for row in range(len(queries)):
+            assert np.array_equal(answers_a[row][0], answers_b[row][0])
+            assert np.array_equal(answers_a[row][1], answers_b[row][1])
+            assert (
+                stats_a[row].distance_computations
+                == stats_b[row].distance_computations
             )
-            assert np.array_equal(ids_h, ids_v)
-            assert np.array_equal(dists_h, dists_v)
-            assert stats_h.distance_computations == stats_v.distance_computations
-            assert stats_h.hops == stats_v.hops
+            assert stats_a[row].hops == stats_b[row].hops
 
+    @pytest.mark.parametrize("rows", _ROW_COUNTS)
     @pytest.mark.parametrize("with_tombstones", [False, True])
     def test_lockstep_batch_matches_per_query_search(
-        self, medium_graph, with_tombstones
+        self, medium_graph, with_tombstones, rows
     ):
         """``search_batch`` replays each query's solo beam exactly.
 
         The lockstep rounds fuse distance blocks across queries, so this
         pins the invariant the fusion relies on: per-row reductions are
         independent of batch composition, and every query's ids, dists
-        and stats counters equal the single-query call's.
+        and stats counters equal the single-query call's — on both
+        sides of the lockstep crossover.
         """
         index, vectors = medium_graph
         if with_tombstones:
@@ -211,10 +237,10 @@ class TestSearchMode:
             index.build(np.random.default_rng(42).standard_normal((150, 12)))
             for node in (3, 17, 40, 41, 99):
                 index.mark_deleted(node)
-        queries = np.random.default_rng(13).standard_normal((9, 12))
-        stats_batch = [SearchStats() for _ in range(9)]
+        queries = np.random.default_rng(13).standard_normal((rows, 12))
+        stats_batch = [SearchStats() for _ in range(rows)]
         batched = index.search_batch(queries, 7, ef_search=40, stats_list=stats_batch)
-        for row in range(9):
+        for row in range(rows):
             stats_solo = SearchStats()
             ids, dists = index.search(
                 queries[row], 7, ef_search=40, stats=stats_solo
@@ -227,16 +253,17 @@ class TestSearchMode:
             )
             assert stats_batch[row].hops == stats_solo.hops
 
-    def test_nsg_lockstep_batch_matches_per_query_search(self):
+    @pytest.mark.parametrize("rows", _ROW_COUNTS)
+    def test_nsg_lockstep_batch_matches_per_query_search(self, rows):
         rng = np.random.default_rng(21)
         vectors = rng.standard_normal((120, 10))
         index = NSGIndex(vectors, NSGParams(knn=10, max_degree=8))
         for node in (5, 6, 70):
             index.mark_deleted(node)
-        queries = rng.standard_normal((6, 10))
-        stats_batch = [SearchStats() for _ in range(6)]
+        queries = rng.standard_normal((rows, 10))
+        stats_batch = [SearchStats() for _ in range(rows)]
         batched = index.search_batch(queries, 5, ef_search=24, stats_list=stats_batch)
-        for row in range(6):
+        for row in range(rows):
             stats_solo = SearchStats()
             ids, dists = index.search(queries[row], 5, ef_search=24, stats=stats_solo)
             assert np.array_equal(batched[row][0], ids)

@@ -1,13 +1,12 @@
-"""Property tests for the parallel + vectorized construction pipeline.
+"""Property tests for the reproducible + vectorized construction pipeline.
 
 Two reproducibility contracts the build subsystem promises:
 
-1. **Worker-count invariance** — a sharded build is a pure function of
-   the ciphertext slices and the SeedSequence-spawned per-shard child
-   seeds, so the built index is *bit-identical* at any ``build_workers``
-   setting: exactly so for the brute-force backend (which is seedless on
-   top of that), and exactly so for the seeded graph/IVF backends too —
-   plus the issue-level recall-parity corollary for graph backends.
+1. **Seed reproducibility** — a sharded build is a pure function of the
+   ciphertext slices and the SeedSequence-spawned per-shard child
+   seeds, so two builds from identically seeded generators are
+   *bit-identical* for every backend kind — and two deployments built
+   that way answer the same encrypted batch with the same ids.
 2. **Bulk-mode equivalence** — the ``bulk`` HNSW construction path
    produces the *same graph bit for bit* as the seed's ``sequential``
    insert loop from the same RNG state, for any construction flags
@@ -24,8 +23,6 @@ from hypothesis import strategies as st
 from repro.core.build import build_shard_backends
 from repro.core.roles import CloudServer, DataOwner, QueryUser
 from repro.core.sharding import assign_shards
-from repro.eval.metrics import recall_at_k
-from repro.hnsw.bruteforce import exact_knn
 from repro.hnsw.graph import HNSWIndex, HNSWParams
 
 from tests.strategies import backend_kinds, databases, seeds
@@ -39,7 +36,6 @@ _SETTINGS = settings(
 )
 
 shard_counts = st.integers(min_value=2, max_value=5)
-worker_counts = st.sampled_from((2, 3, None))
 strategies = st.sampled_from(("round_robin", "hash"))
 
 
@@ -47,7 +43,7 @@ def _tiny_params(backend: str):
     return _TINY_HNSW if backend == "hnsw" else None
 
 
-def _shard_states(data, backend, num_shards, strategy, workers, seed):
+def _shard_states(data, backend, num_shards, strategy, seed):
     """Per-shard persisted state arrays of one sharded build."""
     assignment = assign_shards(data.shape[0], num_shards, strategy)
     owned = [
@@ -60,7 +56,6 @@ def _shard_states(data, backend, num_shards, strategy, workers, seed):
         owned,
         rng=np.random.default_rng(seed),
         params=_tiny_params(backend),
-        build_workers=workers,
     )
     assert len(timings) == num_shards
     assert sum(timing.num_vectors for timing in timings) == data.shape[0]
@@ -86,25 +81,21 @@ def _assert_states_equal(reference, other, context):
     backend=backend_kinds,
     num_shards=shard_counts,
     strategy=strategies,
-    workers=worker_counts,
     seed=seeds,
 )
-def test_parallel_shard_build_is_bit_identical_to_sequential(
-    data, backend, num_shards, strategy, workers, seed
+def test_sharded_build_is_seed_reproducible(
+    data, backend, num_shards, strategy, seed
 ):
-    """Any worker count builds the same shards as build_workers=1.
+    """Identically seeded sharded builds are bit-identical.
 
-    The brute-force case is the issue's acceptance criterion; the other
-    backends satisfy it too because every shard consumes its own
-    spawned child generator, never a stream shared across shards.
+    Every shard consumes its own spawned child generator, never a
+    stream shared across shards, so the same parent seed rebuilds the
+    same shards for every backend kind.
     """
-    sequential = _shard_states(data, backend, num_shards, strategy, 1, seed)
-    parallel = _shard_states(data, backend, num_shards, strategy, workers, seed)
     _assert_states_equal(
-        sequential,
-        parallel,
-        f"{backend} diverged at workers={workers} shards={num_shards} "
-        f"strategy={strategy}",
+        _shard_states(data, backend, num_shards, strategy, seed),
+        _shard_states(data, backend, num_shards, strategy, seed),
+        f"{backend} not reproducible at shards={num_shards} strategy={strategy}",
     )
 
 
@@ -113,49 +104,34 @@ def test_parallel_shard_build_is_bit_identical_to_sequential(
     data=databases(dim=8, min_rows=40, max_rows=60),
     backend=st.sampled_from(("hnsw", "nsg", "ivf")),
     num_shards=shard_counts,
-    workers=worker_counts,
     seed=seeds,
 )
-def test_parallel_graph_build_keeps_recall_parity(
-    data, backend, num_shards, workers, seed
-):
-    """End-to-end recall is identical at any worker count.
-
-    Stronger than a parity band: the two owners consume identically
-    seeded generators, their shard builds are bit-identical, so the two
-    servers must return the same ids for the same encrypted batch.
-    """
+def test_same_seed_deployments_answer_identically(data, backend, num_shards, seed):
+    """Two owners on identically seeded generators deploy the same index:
+    their servers return the same ids for the same encrypted batch."""
     k = 5
 
-    def deployed(build_workers):
+    def deployed():
         owner = DataOwner(
             data.shape[1],
             beta=0.3,
             hnsw_params=_TINY_HNSW,
             backend=backend,
             shards=num_shards,
-            build_workers=build_workers,
             rng=np.random.default_rng(seed),
         )
         server = CloudServer(owner.build_index(data))
         user = QueryUser(owner.authorize_user(), rng=np.random.default_rng(seed + 1))
         return server, user
 
-    sequential_server, user = deployed(1)
-    parallel_server, _ = deployed(workers)
+    first_server, user = deployed()
+    second_server, _ = deployed()
     queries = np.random.default_rng(seed + 2).standard_normal((4, 8)) * 2.0
     batch = user.encrypt_queries(queries, k, ratio_k=4, ef_search=40)
-    sequential_ids = sequential_server.answer(batch).ids_matrix()
-    parallel_ids = parallel_server.answer(batch).ids_matrix()
-    assert np.array_equal(sequential_ids, parallel_ids)
-    truth = [exact_knn(data, query, k)[0] for query in queries]
-    sequential_recall = np.mean([
-        recall_at_k(ids, truth[i], k) for i, ids in enumerate(sequential_ids)
-    ])
-    parallel_recall = np.mean([
-        recall_at_k(ids, truth[i], k) for i, ids in enumerate(parallel_ids)
-    ])
-    assert parallel_recall == sequential_recall
+    assert np.array_equal(
+        first_server.answer(batch).ids_matrix(),
+        second_server.answer(batch).ids_matrix(),
+    )
 
 
 construction_flags = st.sampled_from(

@@ -6,10 +6,12 @@ registered backend, monolithic or sharded, after arbitrary interleaved
 inserts and deletes — it returns **bit-identical** answers to the
 seed's per-query beam search: the same ids, the same approximate
 distances, the same ``distance_computations`` and ``hops``.  The
-batched entry point (``filter_search_batch``, one GEMM per micro-batch
-on the brute-force / IVF backends) must match the per-query answers
-element-wise, and the process data plane must agree with the thread
-path for both engines.
+batched entry point (``filter_search_batch``: one GEMM per micro-batch
+on the brute-force / IVF backends, a lockstep beam search on the graph
+backends from ``LOCKSTEP_MIN_ROWS`` rows up and the per-query loop
+below) must match the per-query answers element-wise, and the process
+data plane must agree with the thread path for both engines.  Batch
+sizes are drawn from both sides of that crossover.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.core.filterengine import (
 from repro.core.maintenance import delete_vector, insert_vector
 from repro.core.plane import process_plane_available
 from repro.core.roles import CloudServer, DataOwner, QueryUser
-from repro.hnsw.graph import SearchStats
+from repro.hnsw.graph import LOCKSTEP_MIN_ROWS, SearchStats
 
 from tests.strategies import backend_kinds, seeds
 
@@ -38,6 +40,11 @@ _SETTINGS = settings(
 )
 
 _DIM = 8
+
+#: Micro-batch sizes on both sides of the lockstep crossover.
+_BATCH_ROWS = sorted(
+    {1, 2, 3, LOCKSTEP_MIN_ROWS - 1, LOCKSTEP_MIN_ROWS, LOCKSTEP_MIN_ROWS + 1, 8, 32}
+)
 
 
 @st.composite
@@ -81,14 +88,17 @@ def _build_index(scenario):
 @given(
     scenario=index_scenarios(),
     query_seed=seeds,
+    rows=st.sampled_from(_BATCH_ROWS),
     k_prime=st.integers(min_value=1, max_value=8),
     ef_search=st.sampled_from([None, 16, 48]),
 )
 @_SETTINGS
-def test_vectorized_bit_identical_to_heap(scenario, query_seed, k_prime, ef_search):
+def test_vectorized_bit_identical_to_heap(
+    scenario, query_seed, rows, k_prime, ef_search
+):
     """Same ids, dists, distance computations and hops — any index state."""
     owner, index = _build_index(scenario)
-    queries = np.random.default_rng(query_seed).standard_normal((3, _DIM)) * 2.0
+    queries = np.random.default_rng(query_seed).standard_normal((rows, _DIM)) * 2.0
     sap_queries = np.stack(
         [owner.dcpe_scheme.encrypt(query) for query in queries]
     )
@@ -138,15 +148,20 @@ needs_plane = pytest.mark.skipif(
 
 
 @needs_plane
+@pytest.mark.parametrize("rows", [6, 4 * LOCKSTEP_MIN_ROWS])
 @pytest.mark.parametrize("backend", ["hnsw", "bruteforce"])
-def test_both_executors_bit_identical_per_engine(backend):
-    """threads == processes for each engine (graph CSR and GEMM paths)."""
+def test_both_executors_bit_identical_per_engine(backend, rows):
+    """threads == processes for each engine (graph lockstep and GEMM paths).
+
+    Two workers stripe the batch, so 6 rows put each worker below the
+    lockstep crossover and ``4 * LOCKSTEP_MIN_ROWS`` put each above it.
+    """
     rng = np.random.default_rng(11)
     owner = DataOwner(_DIM, beta=1.0, backend=backend, rng=rng)
     index = owner.build_index(rng.standard_normal((60, _DIM)) * 2.0)
     user = QueryUser(owner.authorize_user(), rng=rng)
     batch = user.encrypt_queries(
-        rng.standard_normal((6, _DIM)) * 2.0, 4, ef_search=32
+        rng.standard_normal((rows, _DIM)) * 2.0, 4, ef_search=32
     )
     outcomes = {}
     for executor in ("threads", "processes"):

@@ -194,6 +194,21 @@ class TestBuildAndQuery:
 
         assert not active_arenas()
 
+    def test_build_workers_flag_is_gone(self, cli_workspace, capsys):
+        root, _, _ = cli_workspace
+        with pytest.raises(SystemExit):
+            main(
+                [
+                    "build",
+                    str(root / "db.npy"),
+                    "--index", str(root / "gone_index.npz"),
+                    "--keys", str(root / "gone_keys.npz"),
+                    "--beta", "0.2",
+                    "--build-workers", "2",
+                ]
+            )
+        assert "unrecognized arguments: --build-workers" in capsys.readouterr().err
+
     def test_build_json_report(self, cli_workspace, capsys):
         root, database, _ = cli_workspace
         code = main(
@@ -205,7 +220,6 @@ class TestBuildAndQuery:
                 "--beta", "0.2",
                 "--backend", "bruteforce",
                 "--shards", "3",
-                "--build-workers", "2",
                 "--build-mode", "bulk",
                 "--json",
                 "--seed", "1",
@@ -215,7 +229,7 @@ class TestBuildAndQuery:
         payload = json.loads(capsys.readouterr().out)
         assert payload["backend"] == "bruteforce"
         assert payload["shards"] == 3
-        assert payload["build_workers"] == 2
+        assert "build_workers" not in payload
         assert payload["build_mode"] == "bulk"
         assert payload["encrypt_seconds"] > 0
         assert payload["total_seconds"] == pytest.approx(
@@ -348,7 +362,7 @@ class TestInfo:
         assert payload["tombstones"] == 0
         build = payload["build_report"]
         assert build["build_mode"] == "bulk"
-        assert build["build_workers"] == 2
+        assert "build_workers" not in build
         assert build["encrypt_seconds"] > 0
         assert build["total_seconds"] == pytest.approx(
             build["encrypt_seconds"] + build["build_seconds"]
