@@ -11,49 +11,58 @@ bit-identical and the interpreter work shrinks to heap bookkeeping.
 
 This bench isolates the refine stage: candidates come from an exact
 plaintext top-k' (what a perfect filter would hand over), so the timing
-contains nothing but engine work.  It sweeps an ``(n, d, k, ratio_k)``
-grid and writes the machine-readable ``BENCH_refine.json`` next to the
-repo root — the seed of the perf trajectory for the serving hot path.
+contains nothing but engine work.  It sweeps a ``(data, n, d, k,
+ratio_k)`` grid — unit-scale gaussians *and* the sift stand-in, whose
+value scale (128) makes DCE's ``Z`` cancel to ~1e-10 of its terms and
+so decides whether the batched signs can be trusted at all — and writes
+the machine-readable ``BENCH_refine.json`` next to the repo root.
 
-Acceptance bar: at ``n=4096, d=128, k=10, ratio_k=8`` the vectorized
-engine must beat the heap engine by ≥3x (relaxed on single-core /
-heavily loaded CI hosts, mirroring ``bench_sharding.py``).
+Acceptance bar: ROADMAP item 2's rule for a default — on **every** row
+the ``vectorized`` engine's best-of time is no worse than the ``heap``
+oracle's.  ``rechecks`` (batched signs re-reduced by the scalar
+expression) is recorded per row: it is what separates a row that
+batches from one that only appears to.
 """
 
 import json
-import os
 import time
 from pathlib import Path
 
 import numpy as np
 
-from benchmarks.grading import bench_environment, is_graded
+from benchmarks.grading import bench_environment
 from repro.core.dce import DCEScheme
 from repro.core.refine import REFINE_ENGINES
+from repro.datasets import make_dataset
 from repro.eval.reporting import format_table
 
 N_QUERIES = 24
 REPEATS = 5
 
-#: The swept ``(n, d, k, ratio_k)`` grid; the last entry is the
-#: acceptance-bar configuration from the issue.
+#: The swept ``(data, n, d, k, ratio_k)`` grid: ``"gaussian"`` rows are
+#: ``standard_normal * 2``; the last row is the ``"sift"`` dataset
+#: profile (clustered, non-negative, value scale 128) at the end-to-end
+#: benchmark's ``batch_bruteforce_inproc`` shape.
 GRID = (
-    (1024, 32, 10, 4),
-    (2048, 64, 20, 8),
-    (4096, 128, 10, 8),
+    ("gaussian", 1024, 32, 10, 4),
+    ("gaussian", 2048, 64, 20, 8),
+    ("gaussian", 4096, 128, 10, 8),
+    ("sift", 10000, 128, 10, 16),
 )
-
-#: The configuration the ≥3x assertion applies to.
-ACCEPTANCE = (4096, 128, 10, 8)
 
 _RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_refine.json"
 
 
-def _refine_workload(n: int, d: int, k_prime: int, seed: int = 50):
+def _refine_workload(data: str, n: int, d: int, k_prime: int, seed: int = 50):
     """DCE database, per-query trapdoors, and exact top-k' candidate sets."""
     rng = np.random.default_rng(seed)
-    database = rng.standard_normal((n, d)) * 2.0
-    queries = rng.standard_normal((N_QUERIES, d)) * 2.0
+    if data == "gaussian":
+        database = rng.standard_normal((n, d)) * 2.0
+        queries = rng.standard_normal((N_QUERIES, d)) * 2.0
+    else:
+        dataset = make_dataset(data, num_vectors=n, num_queries=N_QUERIES, rng=rng)
+        database, queries = dataset.database, dataset.queries
+        assert database.shape[1] == d
     scheme = DCEScheme(d, rng=rng)
     encrypted = scheme.encrypt_database(database)
     trapdoors = [scheme.trapdoor(query) for query in queries]
@@ -82,38 +91,34 @@ def _engine_seconds(engine, encrypted, trapdoors, candidates, k):
 
 
 def test_refine_engine_grid():
-    """Heap vs vectorized across the grid; JSON artifact + speedup bar."""
+    """Heap vs vectorized across the grid; JSON artifact + the default's bar."""
     rows = []
     configs = []
-    speedups = {}
-    for n, d, k, ratio_k in GRID:
+    for data, n, d, k, ratio_k in GRID:
         k_prime = ratio_k * k
-        encrypted, trapdoors, candidates = _refine_workload(n, d, k_prime)
+        encrypted, trapdoors, candidates = _refine_workload(data, n, d, k_prime)
         medians = {}
         bests = {}
-        ids_by_engine = {}
+        outcomes = {}
         for name, engine in REFINE_ENGINES.items():
             medians[name], bests[name] = _engine_seconds(
                 engine, encrypted, trapdoors, candidates, k
             )
-            ids_by_engine[name] = [
-                engine.refine(encrypted, trapdoor, ids, k).ids
+            outcomes[name] = [
+                engine.refine(encrypted, trapdoor, ids, k)
                 for trapdoor, ids in zip(trapdoors, candidates)
             ]
-        for heap_ids, vec_ids in zip(
-            ids_by_engine["heap"], ids_by_engine["vectorized"]
-        ):
-            assert np.array_equal(heap_ids, vec_ids), (
-                f"engines diverged at n={n}, d={d}, k={k}, ratio_k={ratio_k}"
+        for heap, vec in zip(outcomes["heap"], outcomes["vectorized"]):
+            assert np.array_equal(heap.ids, vec.ids), (
+                f"engines diverged on {data} n={n}, d={d}, k={k}, ratio_k={ratio_k}"
             )
-        speedup = (
-            bests["heap"] / bests["vectorized"]
-            if bests["vectorized"] > 0
-            else float("inf")
-        )
-        speedups[(n, d, k, ratio_k)] = speedup
+            assert heap.comparisons == vec.comparisons
+        comparisons = sum(o.comparisons for o in outcomes["vectorized"])
+        rechecks = sum(o.rechecks for o in outcomes["vectorized"])
+        speedup = bests["heap"] / bests["vectorized"]
         configs.append(
             {
+                "data": data,
                 "n": n,
                 "d": d,
                 "k": k,
@@ -126,17 +131,21 @@ def test_refine_engine_grid():
                     }
                     for name in medians
                 },
+                "comparisons_per_query": comparisons / N_QUERIES,
+                "rechecks_per_query": rechecks / N_QUERIES,
                 "speedup": speedup,
             }
         )
         rows.append(
             [
+                data,
                 n,
                 d,
                 k,
                 ratio_k,
-                medians["heap"] * 1e3 / N_QUERIES,
-                medians["vectorized"] * 1e3 / N_QUERIES,
+                medians["heap"] * 1e6 / N_QUERIES,
+                medians["vectorized"] * 1e6 / N_QUERIES,
+                rechecks / N_QUERIES,
                 speedup,
             ]
         )
@@ -157,30 +166,23 @@ def test_refine_engine_grid():
     print()
     print(
         format_table(
-            ["n", "d", "k", "ratio_k", "heap ms/q", "vectorized ms/q", "speedup"],
+            [
+                "data", "n", "d", "k", "ratio_k",
+                "heap us/q", "vectorized us/q", "rechecks/q", "speedup",
+            ],
             rows,
             title=f"refine engines, q={N_QUERIES}, median of {REPEATS} repeats",
         )
     )
     print(f"wrote {_RESULT_PATH.name}")
 
-    # The batched kernel must pay for itself at serving-path sizes.
-    # Mirroring bench_sharding.py, the bar is guarded: shared CI
-    # runners (CI env var set) only check that the vectorized engine is
-    # not slower — their multi-tenant clocks are too noisy for a perf
-    # bar — while real hosts assert a floor graded by core count (the
-    # win is interpreter dispatch, not parallelism, but 1-core boxes
-    # are typically also the throttled ones).
-    best = speedups[ACCEPTANCE]
-    cores = os.cpu_count() or 1
-    if is_graded():
-        floor = 3.0
-    elif os.environ.get("CI"):
-        floor = 1.0
-    else:
-        floor = 2.2 if cores >= 2 else 1.8
-    assert best >= floor, (
-        f"vectorized refine speedup {best:.2f}x below the {floor}x bar at "
-        f"n={ACCEPTANCE[0]}, d={ACCEPTANCE[1]}, k={ACCEPTANCE[2]}, "
-        f"ratio_k={ACCEPTANCE[3]} ({cores} cores)"
-    )
+    # A default must not lose to the oracle it shadows — anywhere on the
+    # grid, on any host (the win is interpreter dispatch, not
+    # parallelism, so it needs no core-count grading).
+    for config in configs:
+        assert config["speedup"] >= 1.0, (
+            f"vectorized refine is {config['speedup']:.2f}x the heap oracle on "
+            f"{config['data']} n={config['n']}, d={config['d']}, "
+            f"k={config['k']}, ratio_k={config['ratio_k']} "
+            f"({config['rechecks_per_query']:.1f} rechecks/query)"
+        )

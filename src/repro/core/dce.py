@@ -52,7 +52,9 @@ __all__ = [
     "DCEEncryptedDatabase",
     "dce_keygen",
     "distance_comp",
+    "distance_comp_block",
     "distance_comp_many",
+    "p_role_rows",
     "sdc_mac_count",
 ]
 
@@ -246,29 +248,85 @@ def distance_comp(
     return float(combined @ trapdoor.vector)
 
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+
+
+def p_role_rows(p_pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The *p*-role operand of :func:`distance_comp_block`.
+
+    Flattens an ``(m, 2, 2d+16)`` block of *p*-role components
+    (``components[:, 2:4]``) to one ``(m, 2(2d+16))`` matrix — a view
+    wherever the block's layout allows, so slicing ``C_DCE`` itself
+    copies nothing — and returns it with its row 2-norms (the per-row
+    factor of the kernel's rounding bound).
+    """
+    rows = p_pairs.reshape(p_pairs.shape[0], -1)
+    return rows, _row_norms(rows)
+
+
+def distance_comp_block(
+    o_pairs: np.ndarray,
+    vector: np.ndarray,
+    p_rows: np.ndarray,
+    p_norms: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batched ``DistanceComp`` with the margin its signs can be trusted by.
+
+    ``o_pairs`` is the ``(a, 2, 2d+16)`` block of *o*-role components
+    (``components[:, 0:2]``), ``vector`` the trapdoor, and ``p_rows`` /
+    ``p_norms`` come from :func:`p_role_rows` for ``b`` ciphertexts.
+    Returns ``(z, slack)``, both ``(a, b)``: ``z[i, j]`` regroups the
+    oracle's ``(o_1 * p_3 - o_2 * p_4) . t`` as
+    ``[p_3, p_4] . [o_1 * t, -(o_2 * t)]`` — the trapdoor folded into the
+    *o* side, one BLAS product over the whole block, no per-pair
+    temporaries — and wherever ``|z| > slack`` its sign **is** the sign
+    :func:`distance_comp` computes for that pair.
+
+    The bound.  Write the exact value as the sum of its ``2D`` terms
+    (``D = 2d+16``), ``Z = sum_i a_i``, and let ``S = sum_i |a_i|``,
+    ``u = 2**-53``.  The scalar oracle rounds each product, their
+    difference, the product with ``t`` and at most ``D - 1`` additions,
+    so every ``a_i`` carries at most ``D + 2`` factors ``(1 + delta)``,
+    ``|delta| <= u`` — in any summation order, with or without FMA:
+    ``|scalar - Z| <= gamma(D+2) S``.  The regrouped form rounds
+    ``o * t`` once and reduces ``2D`` terms: ``|z - Z| <= gamma(2D+1) S``.
+    Hence ``|z - scalar| <= (3D + 3) u S`` to first order, and by
+    Cauchy-Schwarz ``S <= ||weights_i|| * ||p_rows_j||``.  The slack is
+    ``2 D eps = 4 D u`` times that product — at least a quarter above
+    ``3D + 3`` for every ``D >= 18``, which covers the second-order
+    terms and the rounding of the norms themselves (both ~``D u``
+    relative).  Exact ties and true knife edges fall inside it; callers
+    that need the oracle's sign there re-reduce them with the scalar
+    expression.
+    """
+    width = vector.shape[0]
+    weights = o_pairs * vector
+    np.negative(weights[:, 1], out=weights[:, 1])
+    weights = weights.reshape(-1, 2 * width)
+    z = weights @ p_rows.T
+    slack = (2 * width * _EPS) * _row_norms(weights)[:, np.newaxis] * p_norms
+    return z, slack
+
+
 def distance_comp_many(
     ciphers_o: DCEEncryptedDatabase,
     ciphers_p: DCEEncryptedDatabase,
     trapdoor: DCETrapdoor,
 ) -> np.ndarray:
-    """All-pairs ``DistanceComp`` as two matrix products.
+    """All-pairs ``DistanceComp`` as one matrix product.
 
     Returns the ``(len(o), len(p))`` matrix ``Z`` with ``Z[i, j]`` the
     comparison outcome of :func:`distance_comp` on *o*-role vector ``i``
-    and *p*-role vector ``j`` — only the signs are meaningful.
-
-    The per-pair oracle computes ``(o_1 * p_3 - o_2 * p_4) . t``; folding
-    the trapdoor into the *o* components first gives the algebraically
-    identical ``(o_1 * t) . p_3 - (o_2 * t) . p_4``, which batches into
-    two BLAS matrix-matrix products over the whole cross product.  Same
+    and *p*-role vector ``j`` — only the signs are meaningful, and a
+    sign is the oracle's up to the rounding margin
+    :func:`distance_comp_block` (the kernel this wraps, shared with
+    :class:`repro.core.refine.VectorizedRefineEngine`) documents.  Same
     ``4d + 32`` MACs per pair as the scalar oracle, no interpreter
     dispatch per comparison.
-
-    :class:`repro.core.refine.VectorizedRefineEngine` applies the same
-    regrouping inline for its pivot-vs-candidates scans (it needs
-    per-entry sign verification interleaved with the heap replay, so it
-    does not call this function); this is the general all-pairs form
-    for analysis, tests, and batch tooling.
     """
     if not (ciphers_o.key_id == ciphers_p.key_id == trapdoor.key_id):
         raise KeyMismatchError("ciphertexts and trapdoor come from different keys")
@@ -280,14 +338,8 @@ def distance_comp_many(
             width, int(o.shape[2] if o.shape[2] != width else p.shape[2]),
             what="DCE ciphertext",
         )
-    # The o-role products are contiguous by construction; the p-role
-    # slices of a (n, 4, 2d+16) block are strided, and BLAS would copy
-    # them once per product anyway — do it explicitly, once.
-    weighted_1 = o[:, 0] * trapdoor.vector
-    weighted_2 = o[:, 1] * trapdoor.vector
-    p_3 = np.ascontiguousarray(p[:, 2])
-    p_4 = np.ascontiguousarray(p[:, 3])
-    return weighted_1 @ p_3.T - weighted_2 @ p_4.T
+    z, _ = distance_comp_block(o[:, 0:2], trapdoor.vector, *p_role_rows(p[:, 2:4]))
+    return z
 
 
 class DCEScheme:
@@ -565,26 +617,6 @@ class DCEScheme:
     ) -> float:
         """Instance-method alias of :func:`distance_comp`."""
         return distance_comp(cipher_o, cipher_p, trapdoor)
-
-    def compare_batch(
-        self,
-        cipher_o: DCECiphertext,
-        database: DCEEncryptedDatabase,
-        indices: np.ndarray,
-        trapdoor: DCETrapdoor,
-    ) -> np.ndarray:
-        """Compare one *o* ciphertext against many *p* ciphertexts at once.
-
-        Returns the vector of ``Z_{o,p_i,q}`` values for ``p_i`` in
-        ``indices``; only the signs are meaningful.
-        """
-        if cipher_o.key_id != database.key_id or trapdoor.key_id != database.key_id:
-            raise KeyMismatchError("ciphertexts and trapdoor come from different keys")
-        p_components = database.components[indices]
-        combined = cipher_o.components[0] * p_components[:, 2] - (
-            cipher_o.components[1] * p_components[:, 3]
-        )
-        return combined @ trapdoor.vector
 
     def _check_vector(self, vector: np.ndarray) -> np.ndarray:
         vector = np.asarray(vector, dtype=np.float64)

@@ -287,6 +287,7 @@ def _worker_refine(dce: DCEEncryptedDatabase, engine_name: str, key_id, items):
                         outcome.ids,
                         outcome.comparisons,
                         outcome.kernel_seconds,
+                        outcome.rechecks,
                         time.perf_counter() - start,
                     ),
                 )
@@ -914,12 +915,13 @@ class ProcessDataPlane:
                 continue
             for slot, status, data in payload:
                 if status == "ok":
-                    ids, comparisons, kernel_seconds, seconds = data
+                    ids, comparisons, kernel_seconds, rechecks, seconds = data
                     results[slot] = (
                         RefineOutcome(
                             ids=ids,
                             comparisons=comparisons,
                             kernel_seconds=kernel_seconds,
+                            rechecks=rechecks,
                         ),
                         seconds,
                     )

@@ -16,20 +16,24 @@ Two engines implement the same contract behind the
   as the paper's server would evaluate it.  ``comparisons`` counts real
   oracle invocations.
 * :class:`VectorizedRefineEngine` (``"vectorized"``, the default) —
-  gathers the candidates' ``C_DCE`` rows once into contiguous role
-  matrices (the same algebraic regrouping
-  :func:`repro.core.dce.distance_comp_many` batches on), then replays
+  gathers the candidates' *p*-role ``C_DCE`` rows once, then replays
   the exact comparison-heap algorithm, answering each run of
   reject-against-the-current-top decisions with **one** batched
-  pivot-vs-candidates sign kernel and the heap-maintenance comparisons
-  with scalar products over the precomputed operands.  The replay makes
-  the returned ids — order included — bit-identical to the heap engine
-  (property-tested in ``tests/strategies/test_refine_properties.py``),
-  and its decision count is reported in ``comparisons`` as the
-  equivalent-oracle-call estimate.  With the filter handing candidates
-  over nearest-first (the serving path), the whole post-fill tail is a
-  single BLAS matvec (``benchmarks/bench_refine_engines.py`` records
-  ≥3x over the heap engine at serving-path sizes).
+  pivot-vs-candidates kernel
+  (:func:`repro.core.dce.distance_comp_block`, the regrouping
+  :func:`repro.core.dce.distance_comp_many` also wraps) and the
+  heap-maintenance comparisons with the scalar expression.  A batched
+  sign is trusted only outside the kernel's rigorous rounding slack;
+  the remainder is re-reduced with the scalar expression, so the
+  returned ids — order included — are bit-identical to the heap engine
+  at any data scale (property-tested in
+  ``tests/strategies/test_refine_properties.py``), and its decision
+  count is reported in ``comparisons`` as the equivalent-oracle-call
+  estimate.  With the filter handing candidates over nearest-first
+  (the serving path), the whole post-fill tail is a single BLAS matvec
+  (``BENCH_refine.json``, written by
+  ``benchmarks/bench_refine_engines.py``: 3.4-4.1x the heap engine on
+  unit-scale gaussians, 4.9x on sift-scale data, 2-core host).
 
 Both engines consume the candidate ids as the ``np.int64`` array the
 filter phase produces — no per-element boxing into Python ints.
@@ -48,7 +52,13 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.core.dce import DCEEncryptedDatabase, DCETrapdoor, distance_comp
+from repro.core.dce import (
+    DCEEncryptedDatabase,
+    DCETrapdoor,
+    distance_comp,
+    distance_comp_block,
+    p_role_rows,
+)
 from repro.core.errors import (
     DimensionMismatchError,
     KeyMismatchError,
@@ -84,13 +94,18 @@ class RefineOutcome:
         kernel answered them all up front).
     kernel_seconds:
         Wall clock spent inside batched numeric kernels (candidate
-        gather + batched comparison scans).  Zero for the scalar heap
-        engine.
+        gather + batched comparison scans, rechecks included).  Zero
+        for the scalar heap engine.
+    rechecks:
+        Batched signs that fell inside the kernel's rounding slack and
+        were re-reduced with the scalar oracle expression.  Zero for
+        the scalar heap engine.
     """
 
     ids: np.ndarray
     comparisons: int
     kernel_seconds: float = 0.0
+    rechecks: int = 0
 
 
 @runtime_checkable
@@ -157,12 +172,10 @@ class VectorizedRefineEngine:
     """Batched pivot-vs-candidate comparisons, heap-faithful selection.
 
     The engine gathers the candidates' two *p*-role ``C_DCE`` rows once
-    into one flat ``(m, 2(2d+16))`` matrix, so a pivot-vs-candidates
-    batch is a single elementwise product with the pivot's *o*-role
-    rows and one matvec against the doubled trapdoor ``[t, -t]`` — the
-    same algebraic regrouping
-    :func:`repro.core.dce.distance_comp_many` batches on, with no
-    per-comparison ciphertext objects.
+    into one flat ``(m, 2(2d+16))`` matrix and answers comparisons in
+    blocks through :func:`repro.core.dce.distance_comp_block`: the
+    pivot's *o*-role rows are folded with the trapdoor into one weight
+    vector, so a pivot-vs-candidates batch is a single matvec.
 
     It then replays Algorithm 2's heap **exactly**, but exploits its
     access pattern: once the heap is full, every candidate is first
@@ -172,13 +185,18 @@ class VectorizedRefineEngine:
     kernel — one BLAS matvec per heap change instead of one interpreter
     round trip per candidate.  With the filter handing candidates over
     nearest-first (the serving path), the k nearest fill the heap first
-    and the entire tail collapses into one matvec.  The remaining heap
-    bookkeeping (fill-phase sift-ups, post-accept sift-downs) evaluates
-    the identical scalar products, so the returned ids — order included
-    — are bit-identical to :class:`HeapRefineEngine` whenever batched
-    and scalar kernels agree on every comparison sign, which they do
-    except for floating-point knife edges far below DCE's own
-    encryption noise (property-tested, ties included).
+    and the entire tail collapses into one matvec.
+
+    A batched sign is trusted only where ``|z|`` clears the kernel's
+    rounding slack — a rigorous bound on how far any regrouped
+    reduction can sit from the scalar oracle's, whatever the data scale
+    — and the rest (exact ties, true knife edges; ``rechecks`` counts
+    them) are re-reduced with the oracle's own scalar expression —
+    the same one the heap bookkeeping (fill-phase sift-ups, post-accept
+    sift-downs) evaluates.  Every decision is therefore the oracle's,
+    and the returned ids — order included — are bit-identical to
+    :class:`HeapRefineEngine` (property-tested across value scales,
+    ties included).
 
     ``comparisons`` counts exactly the decisions the serial heap would
     have made (scanned rejections + heap maintenance) — the
@@ -186,15 +204,6 @@ class VectorizedRefineEngine:
     """
 
     name = "vectorized"
-
-    #: Suspicion threshold for batched reductions, as a multiple of the
-    #: per-row Cauchy-Schwarz bound ``||combined_row|| * ||t||`` (an
-    #: upper bound on ``sum_j |combined_j * t_j|``).  Reordering a
-    #: D-term float64 summation moves the result by at most about
-    #: ``2 D eps`` of that bound (~2.4e-13 at D = 2d+16); entries within
-    #: the far-larger threshold are re-reduced with the scalar oracle's
-    #: exact ``ddot``, so a batched sign can never silently differ.
-    _SUSPICION = 1e-9
 
     def refine(
         self,
@@ -228,17 +237,12 @@ class VectorizedRefineEngine:
                     int(vector.shape[0]), width, what="DCE ciphertext"
                 )
         kernel_start = time.perf_counter()
-        # One contiguous gather of both p-role rows per candidate, laid
-        # out flat as (m, 2 * width) so each scan batch is a single
-        # elementwise product plus one matvec.  The o-role rows are only
-        # ever needed for items that reach the heap (~k + accepts of
-        # them), and those are zero-copy views into C_DCE.
-        p_rows = components[ids, 2:4].reshape(m, 2 * width)
-        doubled = np.concatenate([vector, -vector])
-        doubled_norm = float(np.sqrt(doubled @ doubled))
-        # Per-candidate magnitude for the reduction-error bounds below.
-        p_norms = np.sqrt(np.einsum("ij,ij->i", p_rows, p_rows))
+        # One contiguous gather of both p-role rows per candidate.  The
+        # o-role rows are only ever needed for items that reach the heap
+        # (~k + accepts of them), and those are read straight from C_DCE.
+        p_rows, p_norms = p_role_rows(components[ids, 2:4])
         kernel_seconds = time.perf_counter() - kernel_start
+        rechecks = 0
 
         def exact_z(a: int, b: int) -> float:
             # Bit-identical to distance_comp(dce[ids[a]], dce[ids[b]], t):
@@ -256,30 +260,28 @@ class VectorizedRefineEngine:
         while offered < m:
             top = heap.top()
             scan_start = time.perf_counter()
-            # Batched pivot-vs-candidates scan: fold the pivot's o-role
-            # rows into one weight vector, one product, one matvec.  The
-            # batched value may differ from the scalar oracle's only by
-            # product association and summation order, which moves it by
-            # at most ~2 D eps of the Cauchy-Schwarz bound below — any
-            # entry within the far-larger suspicion threshold is
-            # re-reduced with the exact per-pair expression before its
-            # sign is trusted, so a batched sign never silently diverges.
-            o = components[ids[top]]
-            weights = np.concatenate([o[0], o[1]])
-            products = p_rows[offered:] * weights
-            tail_z = products @ doubled
-            threshold = (
-                self._SUSPICION * doubled_norm * float(np.abs(weights).max())
-            ) * p_norms[offered:]
-            suspicious = np.abs(tail_z) <= threshold
-            if suspicious.any():
-                for row in np.nonzero(suspicious)[0]:
-                    tail_z[row] = exact_z(top, offered + int(row))
+            z, slack = distance_comp_block(
+                components[ids[top], np.newaxis, 0:2],
+                vector,
+                p_rows[offered:],
+                p_norms[offered:],
+            )
+            z, slack = z[0], slack[0]
+            # Rows the batch does not reject outright, in offer order: a
+            # trusted non-negative is the accept; an untrusted sign is
+            # the oracle's to decide, and only up to the first accept.
+            first = -1
+            for row in np.flatnonzero(~(z < -slack)).tolist():
+                if z[row] > slack[row]:
+                    first = row
+                    break
+                rechecks += 1
+                if exact_z(top, offered + row) >= 0.0:
+                    first = row
+                    break
             kernel_seconds += time.perf_counter() - scan_start
-            accept_mask = tail_z >= 0.0
-            first = int(np.argmax(accept_mask))
-            if not accept_mask[first]:
-                scanned += int(tail_z.shape[0])
+            if first < 0:
+                scanned += int(z.shape[0])
                 break
             scanned += first + 1
             heap.replace_top(offered + first)
@@ -288,6 +290,7 @@ class VectorizedRefineEngine:
             ids=ids[heap.items()],
             comparisons=heap.oracle_calls + scanned,
             kernel_seconds=kernel_seconds,
+            rechecks=rechecks,
         )
 
 

@@ -11,6 +11,8 @@ from repro.core.dce import (
     DCETrapdoor,
     dce_keygen,
     distance_comp,
+    distance_comp_block,
+    p_role_rows,
     sdc_mac_count,
 )
 from repro.core.errors import (
@@ -163,13 +165,25 @@ class TestDistanceComp:
         # but the signs must oppose.
         assert np.sign(z_ij) == -np.sign(z_ji)
 
-    def test_batch_matches_single(self, scheme, workload):
+    def test_block_matches_single_within_its_slack(self, workload):
         _, _, encrypted, trapdoor, _ = workload
+        components = encrypted.components
         indices = np.arange(20)
-        batch = scheme.compare_batch(encrypted[2], encrypted, indices, trapdoor)
-        for offset, j in enumerate(indices):
-            single = distance_comp(encrypted[2], encrypted[int(j)], trapdoor)
-            assert np.isclose(batch[offset], single)
+        z, slack = distance_comp_block(
+            components[[2, 7], 0:2],
+            trapdoor.vector,
+            *p_role_rows(components[indices, 2:4]),
+        )
+        assert z.shape == slack.shape == (2, 20)
+        for row, i in enumerate((2, 7)):
+            for col, j in enumerate(indices):
+                single = distance_comp(encrypted[i], encrypted[int(j)], trapdoor)
+                assert abs(z[row, col] - single) <= slack[row, col]
+        # The slack is a rounding bound, not a tolerance: it sits many
+        # orders of magnitude below the values it guards, and only the
+        # self-comparison (a mathematically exact tie) falls inside it.
+        assert (slack[0, indices != 2] < 1e-6 * np.abs(z[0, indices != 2])).all()
+        assert abs(z[0, 2]) <= slack[0, 2]
 
     def test_key_mismatch_detected(self, scheme, workload):
         _, query, encrypted, _, _ = workload

@@ -16,12 +16,14 @@ import numpy as np
 import pytest
 
 import repro.core.plane as plane_module
+from repro.core.dce import DCETrapdoor
 from repro.core.errors import ParameterError
 from repro.core.plane import (
     DataPlaneError,
     ProcessDataPlane,
     process_plane_available,
 )
+from repro.core.refine import get_refine_engine
 from repro.core.roles import CloudServer, DataOwner, QueryUser
 from repro.core.shm import active_arenas
 from repro.hnsw.graph import HNSWParams
@@ -81,6 +83,26 @@ class TestServerIntegration:
             # Second batch reuses the cached plane — no respawn.
             assert server.data_plane() is first_plane
             _assert_same_answers(oracle, server.answer(batch))
+            # The refine reply carries the engine's whole outcome,
+            # rechecks included: a duplicated candidate is an exact tie,
+            # which no batched sign is trusted on.
+            candidates = np.array([5, 5], dtype=np.int64)
+            vector = batch.trapdoor_vectors[0]
+            local = get_refine_engine("vectorized").refine(
+                index.dce_database,
+                DCETrapdoor(vector, batch.key_id),
+                candidates,
+                1,
+            )
+            [(remote, _)] = first_plane.refine_batch(
+                [(vector, candidates, 1)], "vectorized", batch.key_id
+            )
+            assert local.rechecks >= 1
+            assert np.array_equal(remote.ids, local.ids)
+            assert (remote.comparisons, remote.rechecks) == (
+                local.comparisons,
+                local.rechecks,
+            )
             name = first_plane.arena_name
             assert name in active_arenas()
         assert first_plane.closed

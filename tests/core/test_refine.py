@@ -14,6 +14,7 @@ from repro.core.refine import (
     available_refine_engines,
     get_refine_engine,
 )
+from repro.datasets import make_dataset
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +124,31 @@ class TestEngineContract:
         )
         assert heap.kernel_seconds == 0.0
         assert vec.kernel_seconds > 0.0
+        assert heap.rechecks == 0
+
+    def test_batches_on_sift_scale_ciphertexts(self):
+        # DCE's Z cancels to ~1e-10 of its terms on sift-scale data
+        # (value scale 128, d=128): a sign gate looser than the true
+        # rounding bound flags every row there and degrades to one
+        # scalar oracle call per comparison.
+        rng = np.random.default_rng(13)
+        dataset = make_dataset("sift", num_vectors=2000, num_queries=32, rng=rng)
+        scheme = DCEScheme(dataset.database.shape[1], rng=rng)
+        encrypted = scheme.encrypt_database(dataset.database)
+        comparisons = rechecks = 0
+        for query in dataset.queries:
+            dists = ((dataset.database - query) ** 2).sum(axis=1)
+            candidates = np.argsort(dists, kind="stable")[:160]
+            trapdoor = scheme.trapdoor(query)
+            heap = REFINE_ENGINES["heap"].refine(encrypted, trapdoor, candidates, 10)
+            vec = REFINE_ENGINES["vectorized"].refine(
+                encrypted, trapdoor, candidates, 10
+            )
+            assert np.array_equal(heap.ids, vec.ids)
+            assert heap.comparisons == vec.comparisons
+            comparisons += vec.comparisons
+            rechecks += vec.rechecks
+        assert rechecks <= 0.05 * comparisons
 
     def test_vectorized_rejects_foreign_trapdoor(self, workload):
         _, encrypted, _, _ = workload
