@@ -3,7 +3,7 @@
 The v4 journaled store's claim (``repro.core.journal``) is that a
 mutation persists in time proportional to the *mutation*, not the
 index: an insert/delete appends one checksummed delta segment where the
-v2/v3 snapshot formats rewrite the whole compressed base.  This bench
+v2/v3 snapshot formats rewrite the whole base archive.  This bench
 measures both persistence paths over the same mutations at the
 reference grid point (``n=4096, d=64``) and asserts the append is
 **>=5x cheaper** than the full rewrite — an intentionally loose bar

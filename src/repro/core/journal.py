@@ -149,14 +149,14 @@ def _checksum(data: bytes) -> str:
 
 
 def _npz_bytes(arrays: dict[str, np.ndarray]) -> bytes:
-    """Serialize an array payload to compressed-npz bytes in memory."""
+    """Serialize an array payload to stored (uncompressed) npz bytes."""
     buf = io.BytesIO()
-    np.savez_compressed(buf, **arrays)
+    np.savez(buf, **arrays)
     return buf.getvalue()
 
 
 def _npz_mapping(data: bytes) -> dict[str, np.ndarray]:
-    """Decode compressed-npz bytes back into a plain array mapping."""
+    """Decode npz bytes (stored or deflated) into a plain array mapping."""
     try:
         with np.load(io.BytesIO(data)) as npz:
             return {key: npz[key] for key in npz.files}

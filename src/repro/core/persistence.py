@@ -11,9 +11,10 @@ sides of the trust boundary need durable state:
   (`save_keys` / `load_keys`), which must be stored separately from the
   index (the whole point of the scheme).
 
-Everything goes through ``numpy.savez_compressed`` with a manifest of
-scalar metadata.  Three index format versions exist (the normative
-specification is ``docs/FORMATS.md``):
+Everything goes through ``numpy.savez`` (stored, not deflated: the
+ciphertexts are high-entropy floats) with a manifest of scalar metadata;
+deflated archives written before still load, under the same versions.
+The index format versions (normative specification: ``docs/FORMATS.md``):
 
 * **v1** — seed era, HNSW-only (``graph_*`` keys, vectors duplicated);
 * **v2** — pluggable backends: records the backend kind and its state
@@ -168,7 +169,7 @@ def save_index(
     ``docs/FORMATS.md``.  For the journaled directory format (v4) use
     :class:`repro.core.journal.IndexJournal` instead.
     """
-    np.savez_compressed(path, **_index_arrays(index))
+    np.savez(path, **_index_arrays(index))
 
 
 def _load_sharded(
@@ -265,7 +266,7 @@ def load_index(
 def save_keys(path: str | os.PathLike, keys: SecretKeyBundle) -> None:
     """Persist a :class:`SecretKeyBundle` (owner/user-side secret state)."""
     dce = keys.dce_key
-    np.savez_compressed(
+    np.savez(
         path,
         format_version=np.array([_FORMAT_VERSION], dtype=np.int64),
         dim=np.array([keys.dim], dtype=np.int64),

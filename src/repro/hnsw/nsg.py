@@ -40,6 +40,18 @@ from repro.hnsw.graph import (
 __all__ = ["NSGParams", "NSGIndex"]
 
 
+def _nearest(dists: np.ndarray, count: int, skip: np.ndarray) -> np.ndarray:
+    """The first ``count`` ids of a stable argsort of ``dists`` not marked
+    in the boolean mask ``skip``.  Only the ``count + skipped`` smallest
+    can qualify, so just the entries at or below that partition threshold
+    are sorted; taken in id order, their stable sort breaks ties by id
+    exactly as the full one does."""
+    kth = min(count + int(np.count_nonzero(skip)), dists.shape[0]) - 1
+    near = np.flatnonzero(dists <= np.partition(dists, kth)[kth])
+    order = near[np.argsort(dists[near], kind="stable")]
+    return order[~skip[order]][:count]
+
+
 @dataclass(frozen=True)
 class NSGParams:
     """Construction parameters for the NSG-style graph.
@@ -180,6 +192,8 @@ class NSGIndex:
         )
 
     def _build(self) -> None:
+        """Exact k-NN lists (:func:`_nearest`, ties by id), pruned by
+        :meth:`_prune`, reverse-linked, re-capped, medoid-connected."""
         n = self.size
         knn = min(self._params.knn, n - 1)
         all_dists = pairwise_squared_distances(self._vectors, self._vectors)
@@ -189,12 +203,13 @@ class NSGIndex:
         if n == 1:
             self._neighbors.append([])
             return
+        skip = np.zeros(n, dtype=bool)
         for node in range(n):
             dists = all_dists[node]
-            order = np.argsort(dists, kind="stable")
-            candidates = [int(i) for i in order if i != node][:knn]
-            pruned = self._prune(node, candidates, dists)
-            self._neighbors.append(pruned)
+            skip[node] = True
+            candidates = _nearest(dists, knn, skip)
+            skip[node] = False
+            self._neighbors.append(self._prune(candidates, dists[candidates]))
         # Reverse edges improve reachability, then cap degrees again.
         for node in range(n):
             for neighbor in list(self._neighbors[node]):
@@ -202,10 +217,8 @@ class NSGIndex:
                     self._neighbors[neighbor].append(node)
         for node in range(n):
             if len(self._neighbors[node]) > self._params.max_degree:
-                dists = all_dists[node]
-                self._neighbors[node] = self._prune(
-                    node, sorted(self._neighbors[node], key=lambda i: dists[i]), dists
-                )
+                ids = np.array(self._neighbors[node], dtype=np.int64)
+                self._neighbors[node] = self._prune(ids, all_dists[node][ids])
         # Guarantee connectivity through the medoid.
         reachable = self._reachable_from(self._medoid)
         for node in range(n):
@@ -213,22 +226,28 @@ class NSGIndex:
                 self._neighbors[self._medoid].append(node)
                 self._neighbors[node].append(self._medoid)
 
-    def _prune(self, node: int, candidates: list[int], dists: np.ndarray) -> list[int]:
-        """NSG edge selection: keep candidates not dominated by a kept one."""
+    def _prune(self, ids: np.ndarray, dists: np.ndarray) -> list[int]:
+        """NSG edge selection: keep candidates not dominated by a kept one.
+
+        ``ids`` are visited nearest-first by ``dists``, their distances to
+        the node (ties keep the given order); ``c`` is dominated when a
+        kept ``s`` has ``dist(s, c) < dists[c]``.  As in HNSW's
+        ``_heuristic_prune_batched``, each kept neighbor ORs that predicate
+        for all candidates into one mask: a per-pair loop's floats and
+        comparisons, so its selection.
+        """
+        order = np.argsort(dists, kind="stable")
+        ids, dists = ids[order], dists[order]
+        vectors = self._vectors[ids]
+        dominated = np.zeros(ids.shape[0], dtype=bool)
         selected: list[int] = []
-        for candidate in candidates:
+        for position in range(ids.shape[0]):
             if len(selected) >= self._params.max_degree:
                 break
-            dominated = False
-            for kept in selected:
-                edge = squared_distances_to_many(
-                    self._vectors[candidate], self._vectors[kept][np.newaxis]
-                )[0]
-                if edge < dists[candidate]:
-                    dominated = True
-                    break
-            if not dominated:
-                selected.append(candidate)
+            if dominated[position]:
+                continue
+            selected.append(int(ids[position]))
+            dominated |= squared_distances_to_many(vectors[position], vectors) < dists
         return selected
 
     def _reachable_from(self, start: int) -> set[int]:
@@ -254,28 +273,21 @@ class NSGIndex:
         if vector.ndim != 1 or vector.shape[0] != self.dim:
             raise DimensionMismatchError(self.dim, vector.shape[-1])
         new_id = self.size
-        dists = np.append(squared_distances_to_many(vector, self._vectors), 0.0)
+        dists = squared_distances_to_many(vector, self._vectors)
         self._vectors = np.vstack([self._vectors, vector])
-        order = np.argsort(dists[:new_id], kind="stable")
-        candidates = [
-            int(i) for i in order if int(i) not in self._deleted
-        ][: self._params.knn]
-        self._neighbors.append(self._prune(new_id, candidates, dists))
+        skip = np.zeros(new_id, dtype=bool)
+        skip[sorted_id_array(self._deleted)] = True
+        candidates = _nearest(dists, self._params.knn, skip)
+        self._neighbors.append(self._prune(candidates, dists[candidates]))
         for neighbor in self._neighbors[new_id]:
-            if new_id not in self._neighbors[neighbor]:
-                self._neighbors[neighbor].append(new_id)
-                if len(self._neighbors[neighbor]) > self._params.max_degree:
-                    neighbor_dists = squared_distances_to_many(
-                        self._vectors[neighbor], self._vectors
-                    )
-                    self._neighbors[neighbor] = self._prune(
-                        neighbor,
-                        sorted(
-                            self._neighbors[neighbor],
-                            key=lambda i: neighbor_dists[i],
-                        ),
-                        neighbor_dists,
-                    )
+            row = self._neighbors[neighbor]
+            row.append(new_id)
+            if len(row) > self._params.max_degree:
+                ids = np.array(row, dtype=np.int64)
+                to_row = squared_distances_to_many(
+                    self._vectors[neighbor], self._vectors[ids]
+                )
+                self._neighbors[neighbor] = self._prune(ids, to_row)
         self._adjacency_version += 1
         return new_id
 

@@ -1,10 +1,14 @@
 """Persistence tests: index and key round-trips through disk."""
 
+import io
+import zipfile
+
 import numpy as np
 import pytest
 
 from repro.core.dce import DCEScheme, distance_comp
 from repro.core.errors import CiphertextFormatError
+from repro.core.journal import _npz_bytes
 from repro.core.persistence import load_index, load_keys, save_index, save_keys
 from repro.core.roles import CloudServer, DataOwner, QueryUser
 from repro.core.maintenance import delete_vector
@@ -131,3 +135,29 @@ class TestKeyRoundtrip:
         np.savez_compressed(path, **data)
         with pytest.raises(CiphertextFormatError):
             load_keys(path)
+
+
+def _member_compression(source) -> set[int]:
+    """The zip compression types used by an npz archive's members."""
+    with zipfile.ZipFile(source) as archive:
+        return {info.compress_type for info in archive.infolist()}
+
+
+class TestArchiveEncoding:
+    """Archives are written stored, not deflated: the DCPE/DCE ciphertexts
+    are high-entropy floats that zlib barely shrinks at many times the
+    write cost.  The deflated files of older writers keep loading (the
+    ``savez_compressed`` fixtures above; journal stores in
+    ``tests/persistence/test_journal.py``)."""
+
+    def test_save_index_and_save_keys_write_stored_members(self, deployed, tmp_path):
+        owner, index, _ = deployed
+        save_index(tmp_path / "index.npz", index)
+        save_keys(tmp_path / "keys.npz", owner.authorize_user())
+        for name in ("index.npz", "keys.npz"):
+            assert _member_compression(tmp_path / name) == {zipfile.ZIP_STORED}
+
+    def test_journal_payload_bytes_are_stored(self, deployed):
+        _, index, _ = deployed
+        data = _npz_bytes({"op": np.array(["insert"]), "sap_row": index.sap_vectors[0]})
+        assert _member_compression(io.BytesIO(data)) == {zipfile.ZIP_STORED}

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import io
 import json
+import zipfile
 
 import numpy as np
 import pytest
 
 from repro.core.errors import CiphertextFormatError, ParameterError
-from repro.core.journal import IndexJournal, JOURNAL_FORMAT_VERSION
+from repro.core.journal import IndexJournal, JOURNAL_FORMAT_VERSION, _checksum
 from repro.core.maintenance import compact_index, delete_vector, insert_vector
 from repro.core.persistence import load_index, save_index
 
@@ -66,6 +68,34 @@ class TestJournalRoundtrip:
         scheme.delete(3)
         assert scheme.journal.num_segments == 2
         assert state_digest(load_index(store)) == state_digest(scheme.server.index)
+
+    def test_deflated_store_still_replays(self, tmp_path):
+        """A store whose base and segments are deflated npz archives (the
+        encoding of older writers) replays to the live index's state."""
+        scheme, _, store = _journaled_scheme(tmp_path, "nsg")
+        mutation_rng = np.random.default_rng(7)
+        inserted = scheme.insert(mutation_rng.normal(size=scheme.owner.dim))
+        scheme.delete(inserted)
+        scheme.insert(mutation_rng.normal(size=scheme.owner.dim))
+        manifest = json.loads((store / "MANIFEST.json").read_bytes())
+        entries = [(manifest, "base", "base_checksum")] + [
+            (entry, "name", "checksum") for entry in manifest["segments"]
+        ]
+        for holder, name_field, checksum_field in entries:
+            path = store / holder[name_field]
+            with np.load(path) as npz:
+                arrays = {key: npz[key] for key in npz.files}
+            buf = io.BytesIO()
+            np.savez_compressed(buf, **arrays)
+            path.write_bytes(buf.getvalue())
+            holder[checksum_field] = _checksum(buf.getvalue())
+            with zipfile.ZipFile(path) as archive:
+                assert {m.compress_type for m in archive.infolist()} == {
+                    zipfile.ZIP_DEFLATED
+                }
+        (store / "MANIFEST.json").write_text(json.dumps(manifest))
+        loaded = IndexJournal.open(store).load()
+        assert state_digest(loaded) == state_digest(scheme.server.index)
 
 
 class TestJournalFailureModes:
