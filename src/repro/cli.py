@@ -7,7 +7,8 @@ A deployable front-end over the library for the three lifecycle stages:
   backend (``--backend hnsw|nsg|ivf|bruteforce``), optionally partition
   it (``--shards N --shard-strategy round_robin|hash``), write the index
   and the key bundle to separate files.  ``--build-mode
-  sequential|bulk`` selects the HNSW construction path, and ``--json``
+  sequential|bulk`` is recorded in the build report (both build the same
+  HNSW graph), and ``--json``
   emits the machine-readable build report (the encrypt/build cost
   split plus per-shard timings).
 * ``query``  — user+server side: load index + keys, batch-encrypt the
@@ -225,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--build-mode",
         choices=BUILD_MODES,
         default="sequential",
-        help="HNSW construction path (bulk is vectorized and "
-        "bit-identical to sequential from the same seed)",
+        help="HNSW build mode, recorded in the build report (both "
+        "values run the same insert loop and build the same graph)",
     )
     build.add_argument(
         "--json",

@@ -141,10 +141,8 @@ class HNSWBackend:
     ) -> "HNSWBackend":
         """Build a fresh HNSW graph over the DCPE ciphertext matrix.
 
-        ``build_mode`` selects the construction path (one of
-        :data:`repro.hnsw.graph.BUILD_MODES`): the seed's ``sequential``
-        insert loop or the ``bulk`` vectorized path, which produces a
-        bit-identical graph from the same seed.
+        ``build_mode`` is one of :data:`repro.hnsw.graph.BUILD_MODES`;
+        both run the same insert loop and build the same graph.
         """
         graph = HNSWIndex(
             sap_vectors.shape[1],

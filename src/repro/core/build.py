@@ -22,10 +22,9 @@ Three pieces:
   surfaces through ``repro build --json``.
 
 The ``build_mode`` knob (:data:`BUILD_MODES`, from
-:mod:`repro.hnsw.graph`) selects the HNSW construction path —
-``sequential`` (the seed's insert loop, the oracle reference) or
-``bulk`` (vectorized, bit-identical from the same seed).  Non-HNSW
-backends have a single, already array-oriented build path and ignore it.
+:mod:`repro.hnsw.graph`) is validated and recorded in the build report;
+both values run the same HNSW insert loop and build the same graph.
+Non-HNSW backends ignore it.
 """
 
 from __future__ import annotations

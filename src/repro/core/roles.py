@@ -91,10 +91,9 @@ class DataOwner:
         Shard-assignment strategy recorded in the index (one of
         :data:`~repro.core.sharding.SHARD_STRATEGIES`).
     build_mode:
-        HNSW construction path (one of
-        :data:`repro.core.build.BUILD_MODES`): the seed's
-        ``sequential`` insert loop, or the ``bulk`` vectorized path
-        producing a bit-identical graph from the same seed.
+        HNSW build mode (one of :data:`repro.core.build.BUILD_MODES`),
+        validated and recorded in the build report; both values run the
+        same insert loop and build the same graph.
     rng:
         Randomness for key generation, encryption and index construction.
     """

@@ -57,9 +57,9 @@ class PPANNS:
     shard_strategy:
         Shard-assignment strategy (``round_robin`` or ``hash``).
     build_mode:
-        HNSW construction path (``"sequential"`` — the seed's insert
-        loop — or ``"bulk"``, the vectorized path, bit-identical from
-        the same seed).
+        HNSW build mode (``"sequential"`` or ``"bulk"``), recorded in
+        the build report; both run the same insert loop and build the
+        same graph.
     default_ratio_k:
         Default ``k'/k`` for queries.
     refine_engine:

@@ -8,8 +8,6 @@ over DCPE ciphertexts.  This subpackage provides:
   (the paper notes the index can substitute other proximity graphs),
 * :mod:`repro.hnsw.ivf` — IVF-Flat with a from-scratch k-means quantizer
   (the inverted-file family of Sections I/VIII),
-* :mod:`repro.hnsw.pq` — product quantization with ADC search (the
-  embedding-based family of Section VIII),
 * :mod:`repro.hnsw.heap` — bounded heaps, including a comparison-oracle
   max-heap for DCE's comparison-only refine phase,
 * :mod:`repro.hnsw.bruteforce` — exact k-NN for ground truth,
@@ -26,7 +24,6 @@ from repro.hnsw.graph import BUILD_MODES, HNSWIndex, HNSWParams, SearchStats
 from repro.hnsw.heap import BoundedMaxHeap, ComparisonMaxHeap
 from repro.hnsw.ivf import IVFFlatIndex, IVFParams, kmeans
 from repro.hnsw.nsg import NSGIndex, NSGParams
-from repro.hnsw.pq import PQIndex, PQParams, ProductQuantizer
 
 __all__ = [
     "BUILD_MODES",
@@ -38,9 +35,6 @@ __all__ = [
     "IVFFlatIndex",
     "IVFParams",
     "kmeans",
-    "PQIndex",
-    "PQParams",
-    "ProductQuantizer",
     "BruteForceIndex",
     "exact_knn",
     "BoundedMaxHeap",

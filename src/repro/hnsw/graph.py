@@ -18,16 +18,18 @@ Search (``search``) is the standard layered beam search returning the
 ``ef_search``-quality top-k with per-query :class:`SearchStats` so the
 evaluation harness can report distance-computation counts and hops.
 
-Two build modes exist (:data:`BUILD_MODES`).  ``sequential`` is the
-seed's one-row-at-a-time insert loop and remains the oracle reference.
-``bulk`` builds the *same graph bit for bit* from the same seed — all
-levels are drawn up front in one vectorized RNG call (the identical
-uniform stream), adjacency lives in flat preallocated int64 arrays
-instead of per-node list-of-lists while the build runs, and the
-neighbor-selection heuristic answers its domination tests from batched
-distance kernels (one kernel call per *selected* neighbor instead of
-one per *candidate*) — which cuts the interpreter dispatch the
-sequential loop pays per insertion.
+Construction has one path: :meth:`HNSWIndex.build` draws every level
+up front in one vectorized RNG call (the identical uniform stream the
+per-insert draw consumes) and loops :meth:`HNSWIndex.insert`.  Both
+:data:`BUILD_MODES` run that loop.  Below :data:`DENSE_ROW_MAX_NODES`
+nodes an insert computes its distances to every existing node in one
+kernel call, and its beam search reads each neighbor's distance from
+that row instead of gathering and reducing per hop.  The row comes from
+the same diff-einsum kernel, whose per-row reductions do not depend on
+the row count, so every float the beam compares is the one the per-hop
+gather would produce.  Neighbor selection answers its domination tests
+from batched distance kernels: one kernel call per *selected* neighbor
+instead of one per *candidate*.
 
 Search has one per-query path and one batched path.
 :meth:`HNSWIndex.search` walks the per-node ``list[list[int]]``
@@ -49,7 +51,6 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -58,6 +59,7 @@ from repro.hnsw.distance import squared_distances_to_many
 
 __all__ = [
     "BUILD_MODES",
+    "DENSE_ROW_MAX_NODES",
     "HNSWParams",
     "HNSWIndex",
     "LOCKSTEP_MIN_ROWS",
@@ -65,10 +67,28 @@ __all__ = [
     "sorted_id_array",
 ]
 
-#: Registered bulk-build modes: the seed's ``sequential`` insert loop
-#: (the oracle reference) and the ``bulk`` vectorized path, which
-#: produces a bit-identical graph from the same seed.
+#: Accepted ``build`` modes.  Both run the same insert loop and build
+#: the same graph; ``bulk`` additionally requires an empty graph.
 BUILD_MODES = ("sequential", "bulk")
+
+#: Largest node count at which ``insert`` computes one dense distance
+#: row to every existing node; above it, the beam gathers and reduces
+#: each hop's fresh neighbors.  The row costs O(n*d) per insert, the
+#: per-hop gathers a numpy dispatch per expansion, so the row loses once
+#: n outgrows the beam.  Microseconds per level-0 insert into an n-node
+#: graph, dense row vs per-hop gather (deep profile, d=96, m=16,
+#: ef_construction=200; median of 6 alternating repeats of 150 inserts;
+#: 2-core host, Python 3.11 / numpy 2.4):
+#:
+#:   n          1500   3000   4000   5000   6000   12000
+#:   dense      2108   2704   2878   3327   3678   5250
+#:   gather     2792   3127   3165   3420   3451   3570
+#:
+#: The row stops winning between 5000 and 6000 nodes at d=96, and its
+#: cost grows with d, so the constant sits below that.  The graph is
+#: identical either way.  A code constant, not a knob: re-measure and
+#: edit it here.
+DENSE_ROW_MAX_NODES = 4096
 
 
 def sorted_id_array(ids: "set[int]") -> np.ndarray:
@@ -164,75 +184,6 @@ class _Node:
 
     level: int
     neighbors: list[list[int]] = field(default_factory=list)
-
-
-class _FlatAdjacency:
-    """Construction-time adjacency in flat preallocated int64 arrays.
-
-    The bulk build keeps one ``(n_layer, max_degree(layer) + 1)`` array
-    and one count vector per layer instead of per-node Python lists:
-    neighbor reads are slices, appends are single-cell writes, and the
-    ``+ 1`` column is the transient overflow slot ``_bulk_link`` fills
-    before pruning back down to the degree cap.  Each layer's rows
-    cover only the nodes whose level reaches that layer (the geometric
-    distribution thins ~1/m per layer), addressed through a per-layer
-    node -> row map — without the remap, every upper layer would
-    allocate full-``n`` rows for nodes that cannot exist there.
-    Neighbor order within a row is exactly the order the sequential
-    lists would hold, which is what keeps the bulk build bit-identical.
-    """
-
-    __slots__ = ("levels", "adjacency", "counts", "rows")
-
-    def __init__(self, params: HNSWParams, levels: np.ndarray) -> None:
-        n = int(levels.shape[0])
-        top = int(levels.max()) if n else -1
-        self.levels = levels
-        self.adjacency: list[np.ndarray] = []
-        self.counts: list[np.ndarray] = []
-        self.rows: list[np.ndarray] = []
-        for layer in range(top + 1):
-            eligible = np.nonzero(levels >= layer)[0]
-            row_of = np.full(n, -1, dtype=np.int64)
-            row_of[eligible] = np.arange(eligible.shape[0], dtype=np.int64)
-            self.rows.append(row_of)
-            self.adjacency.append(
-                np.full(
-                    (eligible.shape[0], params.max_degree(layer) + 1),
-                    -1,
-                    dtype=np.int64,
-                )
-            )
-            self.counts.append(np.zeros(eligible.shape[0], dtype=np.int64))
-
-    def neighbors_of(self, node: int, layer: int) -> list[int]:
-        """Neighbor ids of ``node`` at ``layer`` as plain ints, in order.
-
-        Empty for a node whose level does not reach ``layer`` — the same
-        answer the sequential path's level check gives.
-        """
-        row = self.rows[layer][node]
-        if row < 0:
-            return []
-        return self.adjacency[layer][row, : self.counts[layer][row]].tolist()
-
-    def replace(self, node: int, layer: int, neighbor_ids: list[int]) -> None:
-        """Overwrite ``node``'s neighbor row at ``layer``."""
-        row = self.rows[layer][node]
-        self.adjacency[layer][row, : len(neighbor_ids)] = neighbor_ids
-        self.counts[layer][row] = len(neighbor_ids)
-
-    def to_nodes(self) -> list[_Node]:
-        """Convert to the per-node list-of-lists the query path uses."""
-        return [
-            _Node(
-                level=int(level),
-                neighbors=[
-                    self.neighbors_of(node, layer) for layer in range(int(level) + 1)
-                ],
-            )
-            for node, level in enumerate(self.levels)
-        ]
 
 
 class _SearchMode:
@@ -534,21 +485,26 @@ class HNSWIndex:
 
     # -- construction ---------------------------------------------------------
 
+    def _level_of(self, uniform: float) -> int:
+        # math.log, not np.log: numpy's SIMD log differs from the scalar
+        # libm by 1 ulp on a small fraction of inputs, which would flip a
+        # level whenever -log(u)*ml lands within that ulp of an integer.
+        # max() guards against log(0).
+        return int(-math.log(max(uniform, 1e-300)) * self._params.ml)
+
     def _draw_level(self) -> int:
-        uniform = self._rng.uniform(0.0, 1.0)
-        # Guard against log(0).
-        uniform = max(uniform, 1e-300)
-        return int(-math.log(uniform) * self._params.ml)
+        return self._level_of(self._rng.uniform(0.0, 1.0))
 
     def build(self, vectors: np.ndarray, mode: str = "sequential") -> "HNSWIndex":
         """Build the graph over ``vectors``; returns ``self`` for chaining.
 
-        ``mode`` selects the construction path (:data:`BUILD_MODES`):
-        ``sequential`` inserts each row in order (the seed loop, kept as
-        the oracle reference), ``bulk`` runs the vectorized construction
-        path — bit-identical output from the same RNG state, but with
-        levels drawn up front, flat int64 adjacency arrays during the
-        build, and batched neighbor-selection kernels.
+        Every level is drawn up front in one vectorized RNG call (the
+        identical uniform stream that one draw per :meth:`insert` would
+        consume), then each row goes through :meth:`insert` with its
+        level fixed, so ``build(rows)`` builds the graph ``for row in
+        rows: insert(row)`` builds.  ``mode`` must be one of
+        :data:`BUILD_MODES`; both run this loop, and ``bulk`` refuses a
+        non-empty graph.
         """
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[1] != self._dim:
@@ -557,10 +513,15 @@ class HNSWIndex:
             raise ParameterError(
                 f"unknown build mode {mode!r}; available: {', '.join(BUILD_MODES)}"
             )
-        if mode == "bulk":
-            return self._build_bulk(vectors)
-        for row in vectors:
-            self.insert(row)
+        if mode == "bulk" and self._nodes:
+            raise ParameterError(
+                "bulk build requires an empty graph; use insert() to extend"
+            )
+        if vectors.shape[0] == 0:
+            return self
+        uniforms = self._rng.uniform(0.0, 1.0, size=vectors.shape[0])
+        for row, uniform in zip(vectors, uniforms.tolist()):
+            self.insert(row, level=self._level_of(uniform))
         return self
 
     def insert(self, vector: np.ndarray, level: int | None = None) -> int:
@@ -572,6 +533,10 @@ class HNSWIndex:
         the level fixed, insertion is a pure function of the current
         graph state, so replaying the recorded level reproduces the
         exact adjacency the original insert built.
+
+        Up to :data:`DENSE_ROW_MAX_NODES` existing nodes, the distances
+        to all of them come from one kernel call, and the beam searches
+        read them from that row instead of computing them per hop.
         """
         vector = np.asarray(vector, dtype=np.float64)
         if vector.ndim != 1 or vector.shape[0] != self._dim:
@@ -601,8 +566,13 @@ class HNSWIndex:
             current = self._greedy_closest(vector, current, layer)
         # Beam search + heuristic linking on the remaining layers.
         ef = max(self._params.ef_construction, 1)
+        row = (
+            squared_distances_to_many(vector, self._buffer[:node_id]).tolist()
+            if node_id <= DENSE_ROW_MAX_NODES
+            else None
+        )
         for layer in range(min(level, self._max_level), -1, -1):
-            candidates = self._search_layer(vector, [current], ef, layer)
+            candidates = self._search_layer(vector, [current], ef, layer, row=row)
             selected = self._select_neighbors(vector, candidates, self._params.m, layer)
             self._set_neighbor_list(node_id, layer, [item for _, item in selected])
             for _, neighbor in selected:
@@ -630,7 +600,7 @@ class HNSWIndex:
                 source_vector, self._buffer[neighbor_list]
             )
             candidates = sorted(zip(dists.tolist(), neighbor_list))
-            selected = self._heuristic_prune(source_vector, candidates, max_degree)
+            selected = self._heuristic_prune_batched(candidates, max_degree)
             self._set_neighbor_list(source, layer, [item for _, item in selected])
 
     def _set_neighbor_list(
@@ -655,133 +625,23 @@ class HNSWIndex:
         record.neighbors[layer] = neighbor_ids
         self._adjacency_version += 1
 
-    # -- bulk construction ---------------------------------------------------
-
-    def _build_bulk(self, vectors: np.ndarray) -> "HNSWIndex":
-        """The vectorized construction path (``mode="bulk"``).
-
-        Bit-identical to the sequential insert loop from the same RNG
-        state: the level draws consume the identical uniform stream (one
-        vectorized call), every distance the selection logic compares is
-        produced by the same elementwise kernel, and adjacency rows
-        preserve sequential neighbor order.  Only the bookkeeping
-        changes: flat int64 arrays instead of list-of-lists, and one
-        domination kernel per selected neighbor instead of one distance
-        call per candidate.
-        """
-        if self._nodes:
-            raise ParameterError(
-                "bulk build requires an empty graph; use insert() to extend"
-            )
-        n = vectors.shape[0]
-        if n == 0:
-            return self
-        # One vectorized draw is the identical stream to n scalar
-        # uniform() calls.  The log itself must stay math.log: np.log's
-        # SIMD kernel differs from the scalar libm by 1 ulp on a small
-        # fraction of inputs, which would flip a level when -log(u)*ml
-        # lands within that ulp of an integer and silently break the
-        # bit-identity contract.  n scalar logs are noise next to the
-        # graph construction itself.
-        uniforms = self._rng.uniform(0.0, 1.0, size=n)
-        ml = self._params.ml
-        levels = np.fromiter(
-            (int(-math.log(max(u, 1e-300)) * ml) for u in uniforms.tolist()),
-            dtype=np.int64,
-            count=n,
-        )
-        if self._buffer.shape[0] < n:
-            self._buffer = np.empty((n, self._dim))
-        self._buffer[:n] = vectors
-        flat = _FlatAdjacency(self._params, levels)
-        self._entry_point = 0
-        self._max_level = int(levels[0])
-        ef = max(self._params.ef_construction, 1)
-        for node_id in range(1, n):
-            vector = self._buffer[node_id]
-            level = int(levels[node_id])
-            current = self._entry_point
-            for layer in range(self._max_level, level, -1):
-                current = self._greedy_closest(
-                    vector, current, layer, neighbors_of=flat.neighbors_of
-                )
-            for layer in range(min(level, self._max_level), -1, -1):
-                candidates = self._search_layer(
-                    vector, [current], ef, layer, neighbors_of=flat.neighbors_of
-                )
-                selected = self._select_neighbors(
-                    vector,
-                    candidates,
-                    self._params.m,
-                    layer,
-                    neighbors_of=flat.neighbors_of,
-                    prune=self._heuristic_prune_batched,
-                )
-                flat.replace(node_id, layer, [item for _, item in selected])
-                for _, neighbor in selected:
-                    self._bulk_link(flat, neighbor, node_id, layer)
-                if candidates:
-                    current = candidates[0][1]
-            if level > self._max_level:
-                self._max_level = level
-                self._entry_point = node_id
-        self._nodes = flat.to_nodes()
-        self._adjacency_version += 1
-        self._reverse = None
-        return self
-
-    def _bulk_link(
-        self, flat: _FlatAdjacency, source: int, target: int, layer: int
-    ) -> None:
-        """Flat-array twin of :meth:`_link` (same shrink decisions)."""
-        row_index = int(flat.rows[layer][source])
-        count = int(flat.counts[layer][row_index])
-        row = flat.adjacency[layer][row_index]
-        if (row[:count] == target).any():
-            return
-        row[count] = target
-        count += 1
-        flat.counts[layer][row_index] = count
-        max_degree = self._params.max_degree(layer)
-        if count > max_degree:
-            neighbor_list = row[:count].tolist()
-            source_vector = self._buffer[source]
-            dists = squared_distances_to_many(
-                source_vector, self._buffer[neighbor_list]
-            )
-            candidates = sorted(zip(dists.tolist(), neighbor_list))
-            selected = self._heuristic_prune_batched(
-                source_vector, candidates, max_degree
-            )
-            flat.replace(source, layer, [item for _, item in selected])
-
     def _select_neighbors(
         self,
         vector: np.ndarray,
         candidates: list[tuple[float, int]],
         count: int,
         layer: int,
-        neighbors_of: "Callable[[int, int], list[int]] | None" = None,
-        prune: "Callable[[np.ndarray, list[tuple[float, int]], int], list[tuple[float, int]]] | None" = None,
     ) -> list[tuple[float, int]]:
-        """HNSW Algorithm 4: pick up to ``count`` diverse neighbors.
-
-        ``neighbors_of`` / ``prune`` let the bulk build substitute its
-        flat-array adjacency reader and batched prune kernel; the
-        defaults are the sequential list-of-lists path.
-        """
+        """HNSW Algorithm 4: pick up to ``count`` diverse neighbors."""
         if self._params.extend_candidates:
             seen = {item for _, item in candidates}
             extended = list(candidates)
             for _, item in candidates:
-                if neighbors_of is not None:
-                    extension = neighbors_of(item, layer)
-                else:
-                    extension = (
-                        self._nodes[item].neighbors[layer]
-                        if layer <= self._nodes[item].level
-                        else []
-                    )
+                extension = (
+                    self._nodes[item].neighbors[layer]
+                    if layer <= self._nodes[item].level
+                    else []
+                )
                 for neighbor in extension:
                     if neighbor not in seen:
                         seen.add(neighbor)
@@ -792,13 +652,10 @@ class HNSWIndex:
                         )
                         extended.append((dist, neighbor))
             candidates = sorted(extended)
-        if prune is not None:
-            return prune(vector, candidates, count)
-        return self._heuristic_prune(vector, candidates, count)
+        return self._heuristic_prune_batched(candidates, count)
 
-    def _heuristic_prune(
+    def _heuristic_prune_batched(
         self,
-        vector: np.ndarray,
         candidates: list[tuple[float, int]],
         count: int,
     ) -> list[tuple[float, int]]:
@@ -806,50 +663,17 @@ class HNSWIndex:
 
         A candidate ``c`` is dominated when some selected ``s`` satisfies
         ``dist(c, s) < dist(c, query_vector)`` — the core diversification
-        rule that gives HNSW graphs their navigability.
-        """
-        selected: list[tuple[float, int]] = []
-        pruned: list[tuple[float, int]] = []
-        for dist, item in sorted(candidates):
-            if len(selected) >= count:
-                break
-            item_vector = self._buffer[item]
-            dominated = False
-            if selected:
-                selected_ids = [sid for _, sid in selected]
-                to_selected = squared_distances_to_many(
-                    item_vector, self._buffer[selected_ids]
-                )
-                dominated = bool(np.any(to_selected < dist))
-            if dominated:
-                pruned.append((dist, item))
-            else:
-                selected.append((dist, item))
-        if self._params.keep_pruned:
-            for dist, item in pruned:
-                if len(selected) >= count:
-                    break
-                selected.append((dist, item))
-        return selected
+        rule that gives HNSW graphs their navigability.  Candidates are
+        visited nearest-first; with ``keep_pruned``, dominated ones
+        backfill the selection up to ``count``.
 
-    def _heuristic_prune_batched(
-        self,
-        vector: np.ndarray,
-        candidates: list[tuple[float, int]],
-        count: int,
-    ) -> list[tuple[float, int]]:
-        """Batched twin of :meth:`_heuristic_prune` — identical output.
-
-        The sequential oracle answers "is candidate ``c`` dominated?"
-        with one distance call per candidate (``c`` against the selected
-        set so far).  This version flips the loop: each time a neighbor
-        ``s`` is *selected*, one kernel call computes ``dist(s, ·)`` to
-        every candidate at once and ORs ``dist(s, c) < dist(c, q)`` into
-        a per-candidate domination flag.  The predicate evaluated per
-        (candidate, selected) pair — and the floats it compares — are
-        exactly the oracle's, so selections and prunes never diverge;
-        only the kernel-call count drops from O(#candidates) to
-        O(#selected).
+        Rather than one distance call per candidate against the selected
+        set so far, each time a neighbor ``s`` is *selected* one kernel
+        call computes ``dist(s, ·)`` to every candidate at once and ORs
+        ``dist(s, c) < dist(c, q)`` into a per-candidate domination
+        flag.  The predicate per (candidate, selected) pair, and the
+        floats it compares, are those of the per-candidate loop; only
+        the kernel-call count drops from O(#candidates) to O(#selected).
         """
         ordered = sorted(candidates)
         if not ordered:
@@ -919,13 +743,7 @@ class HNSWIndex:
 
     # -- search ----------------------------------------------------------------
 
-    def _greedy_closest(
-        self,
-        query: np.ndarray,
-        start: int,
-        layer: int,
-        neighbors_of: "Callable[[int, int], list[int]] | None" = None,
-    ) -> int:
+    def _greedy_closest(self, query: np.ndarray, start: int, layer: int) -> int:
         """Greedy walk to a local minimum of distance-to-query at ``layer``."""
         current = start
         current_dist = float(
@@ -934,10 +752,7 @@ class HNSWIndex:
         improved = True
         while improved:
             improved = False
-            if neighbors_of is not None:
-                neighbor_ids = neighbors_of(current, layer)
-            else:
-                neighbor_ids = self._nodes[current].neighbors[layer]
+            neighbor_ids = self._nodes[current].neighbors[layer]
             if not neighbor_ids:
                 break
             dists = squared_distances_to_many(query, self._buffer[neighbor_ids])
@@ -955,47 +770,70 @@ class HNSWIndex:
         ef: int,
         layer: int,
         stats: SearchStats | None = None,
-        neighbors_of: "Callable[[int, int], list[int]] | None" = None,
+        row: "list[float] | None" = None,
     ) -> list[tuple[float, int]]:
-        """Beam search at one layer; returns up to ``ef`` (dist, id) ascending."""
+        """Beam search at one layer; returns up to ``ef`` (dist, id) ascending.
+
+        ``row`` is the query's distance to every node (an insert's dense
+        row); without it, each expansion computes its fresh neighbors'
+        distances with one gather and one kernel call.
+        """
+        push = heapq.heappush
+        pop = heapq.heappop
+        nodes = self._nodes
         visited = set(entry_points)
-        entry_dists = squared_distances_to_many(query, self._buffer[entry_points])
+        if row is None:
+            entry_dists = squared_distances_to_many(
+                query, self._buffer[entry_points]
+            ).tolist()
+        else:
+            entry_dists = [row[p] for p in entry_points]
         if stats is not None:
             stats.distance_computations += len(entry_points)
-        candidates = [(float(d), p) for d, p in zip(entry_dists, entry_points)]
+        candidates = list(zip(entry_dists, entry_points))
         heapq.heapify(candidates)  # min-heap by distance
-        results = [(-float(d), p) for d, p in zip(entry_dists, entry_points)]
+        results = [(-d, p) for d, p in zip(entry_dists, entry_points)]
         heapq.heapify(results)  # max-heap via negation
         while len(results) > ef:
-            heapq.heappop(results)
+            pop(results)
         while candidates:
-            dist, node = heapq.heappop(candidates)
-            if results and dist > -results[0][0] and len(results) >= ef:
+            dist, node = pop(candidates)
+            if len(results) >= ef and dist > -results[0][0]:
                 break
             if stats is not None:
                 stats.hops += 1
-            adjacent = (
-                self._nodes[node].neighbors[layer]
-                if neighbors_of is None
-                else neighbors_of(node, layer)
-            )
-            neighbor_ids = [n for n in adjacent if n not in visited]
+            neighbor_ids = [
+                n for n in nodes[node].neighbors[layer] if n not in visited
+            ]
             if not neighbor_ids:
                 continue
             visited.update(neighbor_ids)
-            dists = squared_distances_to_many(query, self._buffer[neighbor_ids])
+            if row is None:
+                dists = squared_distances_to_many(
+                    query, self._buffer[neighbor_ids]
+                ).tolist()
+            else:
+                dists = [row[n] for n in neighbor_ids]
             if stats is not None:
                 stats.distance_computations += len(neighbor_ids)
-            bound = -results[0][0] if len(results) >= ef else math.inf
-            for neighbor_dist, neighbor in zip(dists.tolist(), neighbor_ids):
-                if neighbor_dist < bound or len(results) < ef:
-                    heapq.heappush(candidates, (neighbor_dist, neighbor))
-                    heapq.heappush(results, (-neighbor_dist, neighbor))
-                    if len(results) > ef:
-                        heapq.heappop(results)
-                    bound = -results[0][0] if len(results) >= ef else math.inf
-        ordered = sorted((-negated, item) for negated, item in results)
-        return ordered
+            if len(results) >= ef:
+                # Full beam: the bound only tightens, so rejected
+                # neighbors never touch the heaps, and an accepted one
+                # (strictly nearer than the bound) replaces the top.
+                bound = -results[0][0]
+                for neighbor_dist, neighbor in zip(dists, neighbor_ids):
+                    if neighbor_dist < bound:
+                        push(candidates, (neighbor_dist, neighbor))
+                        heapq.heapreplace(results, (-neighbor_dist, neighbor))
+                        bound = -results[0][0]
+            else:
+                for neighbor_dist, neighbor in zip(dists, neighbor_ids):
+                    if len(results) < ef or neighbor_dist < -results[0][0]:
+                        push(candidates, (neighbor_dist, neighbor))
+                        push(results, (-neighbor_dist, neighbor))
+                        if len(results) > ef:
+                            pop(results)
+        return sorted((-negated, item) for negated, item in results)
 
     def search(
         self,
@@ -1062,13 +900,13 @@ class HNSWIndex:
         fused into a single gather + subtract + einsum over the
         concatenated neighbor rows (:func:`lockstep_beam_search`).
         Per-row reductions are independent of batch composition (the
-        invariant the bulk build already relies on), and each query's
-        pop/expand/accept sequence is untouched, so ids, distances and
-        stats are exactly what :meth:`search` returns for that query
-        alone; only the numpy dispatch cost is amortized across the
-        micro-batch.  Queries finish independently: a beam that hits
-        its termination bound drops out of the lockstep while the rest
-        keep marching.
+        invariant an insert's dense distance row also relies on), and
+        each query's pop/expand/accept sequence is untouched, so ids,
+        distances and stats are exactly what :meth:`search` returns for
+        that query alone; only the numpy dispatch cost is amortized
+        across the micro-batch.  Queries finish independently: a beam
+        that hits its termination bound drops out of the lockstep while
+        the rest keep marching.
         """
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != self._dim:

@@ -355,26 +355,28 @@ class ServingFrontend:
     def _execute(self, batch):
         """Run one stacked group through the settled batch engine.
 
-        When the wrapped server runs ``executor="processes"`` its data
-        plane carries the batch (``getattr`` keeps duck-typed test
-        servers without the knob working).
+        Without a frontend override, the server's resolved engine
+        *instances* run the batch (its public properties are names, and
+        an unregistered instance has no name to resolve).  When the
+        wrapped server runs ``executor="processes"`` its data plane
+        carries the batch.
         """
+        server = self._server
         return execute_batch_settled(
-            self._server.index,
+            server.index,
             batch,
-            default_ratio_k=self._server.default_ratio_for(batch.request.mode),
+            default_ratio_k=server.default_ratio_for(batch.request.mode),
             refine_engine=(
                 self._refine_engine
                 if self._refine_engine is not None
-                else self._server.refine_engine
+                else server._refine_engine
             ),
             filter_engine=(
                 self._filter_engine
                 if self._filter_engine is not None
-                # getattr: duck-typed test servers may predate the knob.
-                else getattr(self._server, "filter_engine", None)
+                else server._filter_engine
             ),
-            data_plane=getattr(self._server, "data_plane", lambda: None)(),
+            data_plane=server.data_plane(),
         )
 
     def _cache_result(self, pending: PendingQuery, result: SearchResult) -> None:

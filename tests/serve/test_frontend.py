@@ -18,14 +18,17 @@ from repro.core.errors import (
     ParameterError,
     PPANNSError,
 )
+from repro.core.filterengine import HeapFilterEngine
 from repro.core.protocol import EncryptedQuery, SearchResultBatch
-from repro.core.refine import get_refine_engine
+from repro.core.refine import HeapRefineEngine, get_refine_engine
 from repro.core.roles import CloudServer, DataOwner, QueryUser
 from repro.serve import QueueFullError, ServingFrontend
 from tests.conftest import FAST_HNSW
 
 
-def _build_actors(backend="bruteforce", shards=None, seed=11, n=80, dim=8):
+def _build_actors(
+    backend="bruteforce", shards=None, seed=11, n=80, dim=8, **server_options
+):
     rng = np.random.default_rng(seed)
     owner = DataOwner(
         dim,
@@ -37,7 +40,7 @@ def _build_actors(backend="bruteforce", shards=None, seed=11, n=80, dim=8):
     )
     database = rng.standard_normal((n, dim)) * 2.0
     index = owner.build_index(database)
-    server = CloudServer(index)
+    server = CloudServer(index, **server_options)
     user = QueryUser(owner.authorize_user(), rng=np.random.default_rng(seed + 1))
     return server, user, database
 
@@ -120,6 +123,67 @@ class TestServedParity:
         assert isinstance(batch, SearchResultBatch)
         assert len(batch) == 5
         for want, got in zip(expected, batch):
+            assert np.array_equal(want.ids, got.ids)
+
+
+class _CountingRefineEngine(HeapRefineEngine):
+    """An unregistered refine engine instance that counts its calls."""
+
+    name = "counting-refine"
+
+    def __init__(self):
+        self.calls = 0
+
+    def refine(self, *args, **kwargs):
+        self.calls += 1
+        return super().refine(*args, **kwargs)
+
+
+class _CountingFilterEngine(HeapFilterEngine):
+    """An unregistered filter engine instance that counts its calls."""
+
+    name = "counting-filter"
+
+    def __init__(self):
+        self.calls = 0
+
+    def search(self, *args, **kwargs):
+        self.calls += 1
+        return super().search(*args, **kwargs)
+
+    def search_batch(self, *args, **kwargs):
+        self.calls += 1
+        return super().search_batch(*args, **kwargs)
+
+
+class TestServerEngineInstances:
+    @pytest.mark.parametrize(
+        "option, engine_type",
+        [
+            ("refine_engine", _CountingRefineEngine),
+            ("filter_engine", _CountingFilterEngine),
+        ],
+    )
+    def test_served_requests_use_the_server_engine_instance(
+        self, option, engine_type
+    ):
+        """A server built with an engine *instance* serves with that
+        instance, exactly as it answers directly."""
+        engine = engine_type()
+        server, user, database = _build_actors(**{option: engine})
+        queries = [user.encrypt_query(database[i] + 0.01, 5) for i in range(3)]
+        expected = [server.answer(query) for query in queries]
+        direct_calls = engine.calls
+        assert direct_calls > 0
+        with server.serving_frontend(
+            max_batch_size=3, batch_window_seconds=0.05
+        ) as frontend:
+            served = [
+                future.result(timeout=30)
+                for future in [frontend.submit(query) for query in queries]
+            ]
+        assert engine.calls > direct_calls
+        for want, got in zip(expected, served):
             assert np.array_equal(want.ids, got.ids)
 
 

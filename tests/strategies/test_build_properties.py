@@ -7,11 +7,12 @@ Two reproducibility contracts the build subsystem promises:
    seeds, so two builds from identically seeded generators are
    *bit-identical* for every backend kind — and two deployments built
    that way answer the same encrypted batch with the same ids.
-2. **Bulk-mode equivalence** — the ``bulk`` HNSW construction path
-   produces the *same graph bit for bit* as the seed's ``sequential``
-   insert loop from the same RNG state, for any construction flags
+2. **HNSW build equivalence** — both HNSW ``build`` modes, later
+   inserts and deletion repair produce the graph of the seed's
+   one-row-at-a-time insert loop, transcribed below as the oracle, on
+   both sides of the dense-row crossover and for any construction flags
    (including duplicate-vector tie patterns, which stress every sorted
-   comparison in the selection heuristic).
+   comparison in the beam and the selection heuristic).
 3. **NSG build equivalence** — the vectorized NSG build and insert
    produce the graph of the seed's per-id Python loops, transcribed
    below as the oracle.
@@ -19,8 +20,12 @@ Two reproducibility contracts the build subsystem promises:
 
 from __future__ import annotations
 
+import heapq
+import math
+
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.build import build_shard_backends
@@ -31,7 +36,9 @@ from repro.hnsw.distance import (
     pairwise_squared_distances,
     squared_distances_to_many,
 )
-from repro.hnsw.graph import HNSWIndex, HNSWParams
+from repro.core.errors import DimensionMismatchError, ParameterError
+from repro.hnsw import graph as graph_module
+from repro.hnsw.graph import HNSWIndex, HNSWParams, _Node
 from repro.hnsw.nsg import NSGIndex, NSGParams
 
 from tests.strategies import backend_kinds, databases, seeds
@@ -143,6 +150,187 @@ def test_same_seed_deployments_answer_identically(data, backend, num_shards, see
     )
 
 
+class _SeedLoopHNSW(HNSWIndex):
+    """The seed's HNSW ``insert`` / ``_link`` / ``_search_layer`` /
+    ``_greedy_closest`` / ``_select_neighbors`` / ``_heuristic_prune``,
+    transcribed literally: one level draw per insert, one gather and
+    distance call per hop, and one distance call per pruned candidate."""
+
+    def _draw_level(self) -> int:
+        uniform = self._rng.uniform(0.0, 1.0)
+        # Guard against log(0).
+        uniform = max(uniform, 1e-300)
+        return int(-math.log(uniform) * self._params.ml)
+
+    def insert(self, vector, level=None):
+        vector = np.asarray(vector, dtype=np.float64)
+        if vector.ndim != 1 or vector.shape[0] != self._dim:
+            raise DimensionMismatchError(self._dim, vector.shape[-1])
+        node_id = len(self._nodes)
+        if level is None:
+            level = self._draw_level()
+        elif level < 0:
+            raise ParameterError(f"level must be >= 0, got {level}")
+        if node_id >= self._buffer.shape[0]:
+            grown = np.empty((2 * self._buffer.shape[0], self._dim))
+            grown[:node_id] = self._buffer[:node_id]
+            self._buffer = grown
+        self._buffer[node_id] = vector
+        self._nodes.append(
+            _Node(level=level, neighbors=[[] for _ in range(level + 1)])
+        )
+        self._adjacency_version += 1  # node count changes the CSR shape
+        if self._entry_point is None:
+            self._entry_point = node_id
+            self._max_level = level
+            return node_id
+
+        current = self._entry_point
+        # Greedy descent through layers above the new node's level.
+        for layer in range(self._max_level, level, -1):
+            current = self._greedy_closest(vector, current, layer)
+        # Beam search + heuristic linking on the remaining layers.
+        ef = max(self._params.ef_construction, 1)
+        for layer in range(min(level, self._max_level), -1, -1):
+            candidates = self._search_layer(vector, [current], ef, layer)
+            selected = self._select_neighbors(vector, candidates, self._params.m, layer)
+            self._set_neighbor_list(node_id, layer, [item for _, item in selected])
+            for _, neighbor in selected:
+                self._link(neighbor, node_id, layer)
+            if candidates:
+                current = candidates[0][1]
+        if level > self._max_level:
+            self._max_level = level
+            self._entry_point = node_id
+        return node_id
+
+    def _link(self, source, target, layer):
+        neighbor_list = self._nodes[source].neighbors[layer]
+        if target in neighbor_list:
+            return
+        neighbor_list.append(target)
+        self._adjacency_version += 1
+        if self._reverse is not None:
+            self._reverse.setdefault(target, set()).add((source, layer))
+        max_degree = self._params.max_degree(layer)
+        if len(neighbor_list) > max_degree:
+            source_vector = self._buffer[source]
+            dists = squared_distances_to_many(
+                source_vector, self._buffer[neighbor_list]
+            )
+            candidates = sorted(zip(dists.tolist(), neighbor_list))
+            selected = self._heuristic_prune(source_vector, candidates, max_degree)
+            self._set_neighbor_list(source, layer, [item for _, item in selected])
+
+    def _select_neighbors(self, vector, candidates, count, layer):
+        if self._params.extend_candidates:
+            seen = {item for _, item in candidates}
+            extended = list(candidates)
+            for _, item in candidates:
+                extension = (
+                    self._nodes[item].neighbors[layer]
+                    if layer <= self._nodes[item].level
+                    else []
+                )
+                for neighbor in extension:
+                    if neighbor not in seen:
+                        seen.add(neighbor)
+                        dist = float(
+                            squared_distances_to_many(
+                                vector, self._buffer[neighbor][np.newaxis]
+                            )[0]
+                        )
+                        extended.append((dist, neighbor))
+            candidates = sorted(extended)
+        return self._heuristic_prune(vector, candidates, count)
+
+    def _heuristic_prune(self, vector, candidates, count):
+        selected = []
+        pruned = []
+        for dist, item in sorted(candidates):
+            if len(selected) >= count:
+                break
+            item_vector = self._buffer[item]
+            dominated = False
+            if selected:
+                selected_ids = [sid for _, sid in selected]
+                to_selected = squared_distances_to_many(
+                    item_vector, self._buffer[selected_ids]
+                )
+                dominated = bool(np.any(to_selected < dist))
+            if dominated:
+                pruned.append((dist, item))
+            else:
+                selected.append((dist, item))
+        if self._params.keep_pruned:
+            for dist, item in pruned:
+                if len(selected) >= count:
+                    break
+                selected.append((dist, item))
+        return selected
+
+    def _greedy_closest(self, query, start, layer):
+        current = start
+        current_dist = float(
+            squared_distances_to_many(query, self._buffer[current][np.newaxis])[0]
+        )
+        improved = True
+        while improved:
+            improved = False
+            neighbor_ids = self._nodes[current].neighbors[layer]
+            if not neighbor_ids:
+                break
+            dists = squared_distances_to_many(query, self._buffer[neighbor_ids])
+            best = int(np.argmin(dists))
+            if dists[best] < current_dist:
+                current = neighbor_ids[best]
+                current_dist = float(dists[best])
+                improved = True
+        return current
+
+    def _search_layer(self, query, entry_points, ef, layer, stats=None):
+        visited = set(entry_points)
+        entry_dists = squared_distances_to_many(query, self._buffer[entry_points])
+        if stats is not None:
+            stats.distance_computations += len(entry_points)
+        candidates = [(float(d), p) for d, p in zip(entry_dists, entry_points)]
+        heapq.heapify(candidates)  # min-heap by distance
+        results = [(-float(d), p) for d, p in zip(entry_dists, entry_points)]
+        heapq.heapify(results)  # max-heap via negation
+        while len(results) > ef:
+            heapq.heappop(results)
+        while candidates:
+            dist, node = heapq.heappop(candidates)
+            if results and dist > -results[0][0] and len(results) >= ef:
+                break
+            if stats is not None:
+                stats.hops += 1
+            adjacent = self._nodes[node].neighbors[layer]
+            neighbor_ids = [n for n in adjacent if n not in visited]
+            if not neighbor_ids:
+                continue
+            visited.update(neighbor_ids)
+            dists = squared_distances_to_many(query, self._buffer[neighbor_ids])
+            if stats is not None:
+                stats.distance_computations += len(neighbor_ids)
+            bound = -results[0][0] if len(results) >= ef else math.inf
+            for neighbor_dist, neighbor in zip(dists.tolist(), neighbor_ids):
+                if neighbor_dist < bound or len(results) < ef:
+                    heapq.heappush(candidates, (neighbor_dist, neighbor))
+                    heapq.heappush(results, (-neighbor_dist, neighbor))
+                    if len(results) > ef:
+                        heapq.heappop(results)
+                    bound = -results[0][0] if len(results) >= ef else math.inf
+        ordered = sorted((-negated, item) for negated, item in results)
+        return ordered
+
+
+def _hnsw_state(index):
+    """Entry point, top level and the ``adjacency_arrays()`` export."""
+    levels, edges = index.adjacency_arrays()
+    return index.entry_point, index.max_level, levels.tolist(), edges.tolist()
+
+
 construction_flags = st.sampled_from(
     (
         HNSWParams(m=4, ef_construction=20),
@@ -153,40 +341,105 @@ construction_flags = st.sampled_from(
 
 
 @_SETTINGS
-@given(
-    data=databases(dim=8, min_rows=25, max_rows=70),
-    params=construction_flags,
-    seed=seeds,
-    duplicate=st.booleans(),
+@example(
+    profile="gaussian",
+    n=250,
+    params=HNSWParams(m=6, ef_construction=30),
+    crossover="mid",
+    duplicate="none",
+    tombstones=0,
+    inserts=0,
+    seed=1,
 )
-def test_bulk_hnsw_build_equals_sequential(data, params, seed, duplicate):
-    """``bulk`` builds the sequential oracle's graph bit for bit.
+@example(
+    profile="gaussian",
+    n=32,
+    params=HNSWParams(m=4, ef_construction=16, keep_pruned=False),
+    crossover="above",
+    duplicate="pool",
+    tombstones=1,
+    inserts=3,
+    seed=4533148,
+)
+@given(
+    profile=st.sampled_from(("gaussian", "deep", "clustered")),
+    n=st.integers(min_value=25, max_value=70),
+    params=construction_flags,
+    crossover=st.sampled_from(("zero", "mid", "above")),
+    duplicate=st.sampled_from(("none", "few", "pool")),
+    tombstones=st.integers(min_value=0, max_value=3),
+    inserts=st.integers(min_value=0, max_value=4),
+    seed=seeds,
+)
+def test_bulk_hnsw_build_equals_sequential(
+    profile, n, params, crossover, duplicate, tombstones, inserts, seed
+):
+    """Both ``build`` modes build the seed insert loop's graph bit for
+    bit, and so do later inserts and deletion repair.
 
-    ``duplicate`` plants repeated vectors so zero distances and sorted
-    ties exercise the batched prune's knife edges.
+    ``crossover`` puts :data:`~repro.hnsw.graph.DENSE_ROW_MAX_NODES` at
+    0 (every insert gathers per hop), mid-build (the switch happens
+    inside the build) or above every node count (every insert, the
+    post-tombstone ones included, reads its dense row).  ``duplicate``
+    plants a few repeated vectors (``few``) or draws every row from a
+    pool of ``n // 4`` (``pool``), in the build and among the inserts,
+    so zero distances and ties at the beam's bound exercise the beam's
+    and the prune's knife edges.
     """
-    if duplicate and data.shape[0] >= 6:
-        data = data.copy()
-        data[1] = data[0]
-        data[5] = data[0]
-    sequential = HNSWIndex(
-        data.shape[1], params, rng=np.random.default_rng(seed)
-    ).build(data)
-    bulk = HNSWIndex(
-        data.shape[1], params, rng=np.random.default_rng(seed)
-    ).build(data, mode="bulk")
-    assert bulk.entry_point == sequential.entry_point
-    assert bulk.max_level == sequential.max_level
-    seq_levels, seq_edges = sequential.adjacency_arrays()
-    bulk_levels, bulk_edges = bulk.adjacency_arrays()
-    assert np.array_equal(bulk_levels, seq_levels)
-    assert np.array_equal(bulk_edges, seq_edges)
-    # And the graphs answer searches identically.
-    query = np.random.default_rng(seed + 1).standard_normal(data.shape[1])
-    seq_ids, seq_dists = sequential.search(query, 3, ef_search=20)
-    bulk_ids, bulk_dists = bulk.search(query, 3, ef_search=20)
-    assert np.array_equal(seq_ids, bulk_ids)
-    assert np.array_equal(seq_dists, bulk_dists)
+    rng = np.random.default_rng(seed)
+    total = n + inserts
+    if profile == "gaussian":
+        rows = rng.standard_normal((total, 8)) * 2.0
+    elif profile == "deep":
+        rows = make_dataset("deep", total, 1, rng=rng).database
+    else:
+        rows = make_clustered(total, 8, 1, num_clusters=4, rng=rng).database
+    if duplicate == "few":
+        rows[[1, 5, n // 2]] = rows[0]
+        rows[n:] = rows[rng.integers(0, n, size=inserts)]
+    elif duplicate == "pool":
+        rows = rows[rng.integers(0, n // 4, size=total)]
+    data, extra = rows[:n], rows[n:]
+    dense_max = {"zero": 0, "mid": n // 2, "above": total + 1}[crossover]
+    oracle = _SeedLoopHNSW(data.shape[1], params, rng=np.random.default_rng(seed))
+    for row in data:
+        oracle.insert(row)
+    built = _hnsw_state(oracle)
+    victims = [int(v) for v in rng.choice(n, size=tombstones, replace=False)]
+    for node in victims:
+        oracle.mark_deleted(node)
+    for vector in extra:
+        oracle.insert(vector)
+    repaired = oracle.in_neighbors(victims[0]) if victims else []
+    if victims:
+        oracle.remove_edges_to(victims[0])
+    for node in repaired:
+        oracle.repair_node(node)
+    query = rng.standard_normal(data.shape[1])
+    want_ids, want_dists = oracle.search(query, 3, ef_search=20)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "DENSE_ROW_MAX_NODES", dense_max)
+        for mode in ("sequential", "bulk"):
+            index = HNSWIndex(
+                data.shape[1], params, rng=np.random.default_rng(seed)
+            ).build(data, mode=mode)
+            assert _hnsw_state(index) == built, f"{mode} build"
+            for node in victims:
+                index.mark_deleted(node)
+            for step, vector in enumerate(extra):
+                assert index.insert(vector) == n + step
+            if victims:
+                assert index.in_neighbors(victims[0]) == repaired
+                index.remove_edges_to(victims[0])
+            for node in repaired:
+                index.repair_node(node)
+            assert _hnsw_state(index) == _hnsw_state(oracle), (
+                f"{mode} after inserts and repair"
+            )
+            got_ids, got_dists = index.search(query, 3, ef_search=20)
+            assert np.array_equal(got_ids, want_ids), mode
+            assert np.array_equal(got_dists, want_dists), mode
 
 
 class _SeedLoopNSG(NSGIndex):
