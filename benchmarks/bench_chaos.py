@@ -114,9 +114,7 @@ def test_chaos_goodput_and_recovery():
             plane_fault_at[0] = time.monotonic()
 
     with server:
-        with server.serving_frontend(
-            max_batch_size=8, batch_window_seconds=0.002
-        ) as frontend:
+        with server.serving_frontend(max_batch_size=8) as frontend:
             with NetServer(frontend, tenants) as net:
                 host, port = net.address
 

@@ -84,15 +84,11 @@ def test_socket_parity_and_quota_isolation():
     )
 
     # ---- Phase 1: socket path vs in-process path, bit-identical ids ----
-    with server.serving_frontend(
-        max_batch_size=16, batch_window_seconds=0.002
-    ) as frontend:
+    with server.serving_frontend(max_batch_size=16) as frontend:
         inproc_results, inproc_elapsed = replay_open_loop(
             frontend, encrypted, rate=RATE, seed=71
         )
-    with server.serving_frontend(
-        max_batch_size=16, batch_window_seconds=0.002
-    ) as frontend:
+    with server.serving_frontend(max_batch_size=16) as frontend:
         with NetServer(frontend, [TenantConfig(key_a)]) as net:
             host, port = net.address
             with NetClient(host, port, key_a) as client:
@@ -135,9 +131,7 @@ def test_socket_parity_and_quota_isolation():
         return net.registry.get(key_b).stats()
 
     # Solo run: tenant B alone on a fresh frontend + registry.
-    with server.serving_frontend(
-        max_batch_size=16, batch_window_seconds=0.002
-    ) as frontend:
+    with server.serving_frontend(max_batch_size=16) as frontend:
         with NetServer(frontend, tenants) as net:
             solo = _run_b(net, rate_seed=91)
 
@@ -145,9 +139,7 @@ def test_socket_parity_and_quota_isolation():
     # while tenant B replays the identical workload.
     rejections = 0
     completions_a = 0
-    with server.serving_frontend(
-        max_batch_size=16, batch_window_seconds=0.002
-    ) as frontend:
+    with server.serving_frontend(max_batch_size=16) as frontend:
         with NetServer(frontend, tenants) as net:
             host, port = net.address
             stop_flood = threading.Event()
@@ -160,7 +152,11 @@ def test_socket_parity_and_quota_isolation():
                         if stop_flood.is_set():
                             break
                         futures.append(client.submit(encrypted[i % N_QUERIES]))
-                        time.sleep(0.001)
+                        # Bursts of twice the quota: the server answers
+                        # a lone query within a paced gap, so only a
+                        # burst is sure to find the quota full.
+                        if (i + 1) % (2 * FLOOD_QUOTA) == 0:
+                            time.sleep(0.004)
                     for future in futures:
                         try:
                             future.result(timeout=60)

@@ -23,7 +23,7 @@ the CPU with serving and CI runners vary wildly — the acceptance is
 zero dropped or incorrect answers.
 
 Writes the machine-readable ``BENCH_persistence.json`` next to the
-repo root, mirroring ``bench_serving.py``.
+repo root.
 """
 
 import json
@@ -141,7 +141,6 @@ def _serving_under_compaction():
 
     frontend = server.serving_frontend(
         max_batch_size=8,
-        batch_window_seconds=0.002,
         max_queue_depth=max(1024, len(encrypted)),
     )
     with frontend:

@@ -31,8 +31,8 @@ A deployable front-end over the library for the three lifecycle stages:
   stores (delta segments folded into a fresh base generation).
 * ``serve``  — the online path: replay a query file through a
   :class:`~repro.serve.frontend.ServingFrontend` one query at a time
-  (optionally at a Poisson ``--rate``); the server forms the
-  micro-batches (``--max-batch`` / ``--batch-window``) and the command
+  (optionally at a Poisson ``--rate``); the server batches whatever is
+  queued, up to ``--max-batch``, and the command
   reports throughput, latency percentiles, and the batch-size
   histogram (``--json`` emits the full metrics snapshot).
 * ``workload`` — synthetic serving benchmark: build a scheme, replay an
@@ -392,14 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch",
         type=int,
         default=32,
-        help="micro-batch size cap (dispatch fires when a batch fills)",
-    )
-    serve.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.002,
-        help="micro-batch latency window in seconds, counted from the "
-        "batch's first query (0 disables batching)",
+        help="micro-batch size cap (the most queued queries one "
+        "dispatch takes up)",
     )
     serve.add_argument(
         "--queue-depth",
@@ -461,12 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     workload.add_argument("--shards", type=int, default=1, help="filter shard count")
     workload.add_argument("--max-batch", type=int, default=16)
     workload.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.002,
-        help="micro-batch latency window in seconds",
-    )
-    workload.add_argument(
         "--rate",
         type=float,
         default=None,
@@ -515,12 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
         "vectorized engine)",
     )
     listen.add_argument("--max-batch", type=int, default=32)
-    listen.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.002,
-        help="micro-batch latency window in seconds",
-    )
     listen.add_argument(
         "--queue-depth", type=int, default=1024, help="admission-queue bound"
     )
@@ -892,7 +874,6 @@ def _serve_local(args: argparse.Namespace, encrypted, key_id: int, index):
     )
     frontend = server.serving_frontend(
         max_batch_size=args.max_batch,
-        batch_window_seconds=args.batch_window,
         max_queue_depth=queue_depth,
         cache_size=args.cache_size,
     )
@@ -946,7 +927,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "k": args.k,
             "num_queries": len(results),
             "max_batch_size": args.max_batch,
-            "batch_window_seconds": args.batch_window,
             "rate": args.rate,
             "deadline_ms": args.deadline_ms,
             "client_retries": tenancy.get("client_retries", 0),
@@ -964,7 +944,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     where = f"via {args.connect}" if args.connect else "in-process"
     print(
         f"served {len(results)} queries (k={args.k}) at {served_qps:.0f} QPS "
-        f"{where} [window={args.batch_window * 1e3:.1f}ms, cap={args.max_batch}]"
+        f"{where} [cap={args.max_batch}]"
     )
     print(
         f"latency p50/p95/p99 = {snapshot['latency_p50'] * 1e3:.2f}/"
@@ -996,7 +976,6 @@ def _cmd_listen(args: argparse.Namespace) -> int:
     ]
     frontend = server.serving_frontend(
         max_batch_size=args.max_batch,
-        batch_window_seconds=args.batch_window,
         max_queue_depth=args.queue_depth,
         cache_size=args.cache_size,
     )
@@ -1040,7 +1019,6 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
     frontend = server.serving_frontend(
         max_batch_size=args.max_batch,
-        batch_window_seconds=args.batch_window,
         max_queue_depth=max(1024, len(encrypted)),
     )
     with frontend:
@@ -1068,7 +1046,6 @@ def _cmd_workload(args: argparse.Namespace) -> int:
             "k": args.k,
             "num_queries": len(encrypted),
             "max_batch_size": args.max_batch,
-            "batch_window_seconds": args.batch_window,
             "rate": args.rate,
             "sequential_qps": sequential_qps,
             "served_qps": served_qps,

@@ -19,8 +19,8 @@ Public API:
   the staged pipeline :data:`repro.core.search.PIPELINE_STAGES`
   (resolve → filter → mask → refine → respond over a
   :class:`PipelineContext`); :func:`repro.core.search.execute_batch` —
-  the pipelined batch path (queries fan out over
-  :mod:`repro.core.executor`'s shared pool), with
+  the amortized batch path (per-batch setup once, then each query in
+  turn), with
   :func:`repro.core.search.execute_batch_settled` as the per-query
   settled form the online serving layer (:mod:`repro.serve`) consumes.
 * :mod:`repro.core.refine` — pluggable refine engines behind the

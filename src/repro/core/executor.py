@@ -1,49 +1,39 @@
-"""The shared worker pool behind the server's parallel hot paths.
+"""The shared worker pool behind the sharded filter scatter.
 
-Two layers of the serving path fan work out over threads:
-
-* :func:`repro.core.search.execute_batch` — the **pipelined batch
-  executor** — fans a batch's queries out so independent queries overlap
-  (numpy's distance and DCE kernels release the GIL, so queries make
-  real multi-core progress);
-* :meth:`repro.core.sharding.ShardedEncryptedIndex.filter_search` —
-  the scatter-gather filter phase — fans one query out across shards.
-
-Both layers draw from the **one process-wide**
+:meth:`repro.core.sharding.ShardedEncryptedIndex.filter_search` (and its
+batch form) fans one query's filter phase out across shards with
+:func:`map_ordered`, over the **one process-wide**
 :class:`~concurrent.futures.ThreadPoolExecutor` owned by this module.
 Per-call or per-index pools would leak idle threads across the many
-short-lived indexes built by tests and sweeps, and two independent
-bounded pools nested inside each other can still oversubscribe the
-host.  The pool is created once and never resized or shut down — a
-resize would have to retire the old executor while another thread may
-still be mapping over it.
+short-lived indexes built by tests and sweeps.  The pool is created
+once and never resized or shut down — a resize would have to retire
+the old executor while another thread may still be mapping over it.
 
-Nesting is the classic bounded-pool deadlock: a worker that blocks on
-sub-tasks submitted to its own pool can starve when every worker is a
-blocked parent.  :func:`map_ordered` therefore runs **inline** whenever
-it is called from one of the pool's own workers (detected by thread
-name), so a batch fan-out parallelizes across queries and each query's
-shard scatter runs serially inside its worker — queries, the coarser
-and more abundant unit of work, win the parallelism.
+A batch's queries do **not** fan out: :func:`repro.core.search
+.execute_batch_settled` runs them one after another on the calling
+thread.  The graph walks and refine scans hold the GIL, so a per-query
+fan-out made them slower than serial: on a 2-core host, traced refine
+time on the ``batch_bruteforce_inproc`` benchmark fell from 399 to
+294 µs/query once the batch ran serially.  The shard scatter keeps the
+pool: ``saturation_ivf_sharded_inproc`` served 521 / 606 / 626 queries/s
+with it against 550 / 512 / 579 with a serial scatter (3 pairs).
 
-:func:`map_settled` is the fan-out primitive everything else builds on:
-results come back in submission order regardless of completion order
-(deterministic gather), every task runs to completion even when a
-sibling fails, and each input position settles independently to either
-its result or the exception it raised.  :func:`map_ordered` is the
-raise-on-failure view of the same gather — the first failure *by input
-position* is re-raised after every task settled, so one poisoned query
-can neither kill nor reorder the others mid-flight.  The online
-serving layer (:mod:`repro.serve`) consumes the settled form directly:
-a scheduler-formed micro-batch must deliver per-query exceptions to
-per-query futures without discarding sibling results.
+:func:`map_ordered` returns results in submission order regardless of
+completion order (deterministic gather); every task runs to completion
+even when a sibling fails, and the first failure *by input position* is
+re-raised after every task settled.  It runs **inline** when called
+from one of the pool's own workers (detected by thread name): a worker
+that blocks on sub-tasks of its own bounded pool can deadlock.
+:class:`Settled` is the per-position outcome both the gather and the
+serving layer's per-query delivery are built on.
 
 Threads are one of two **executor modes** (:data:`EXECUTOR_MODES`).
-``threads`` — this module's pool — is the default and the oracle;
-``processes`` routes batch execution through the multi-process data
-plane of :mod:`repro.core.plane`, whose worker processes attach the
-ciphertext matrices via shared memory and sidestep the GIL on the
-pure-Python filter hot path.  The knob threads through
+``threads`` — the calling thread plus this module's pool for the shard
+scatter — is the default and the oracle; ``processes`` routes batch
+execution through the multi-process data plane of
+:mod:`repro.core.plane`, whose worker processes attach the ciphertext
+matrices via shared memory and sidestep the GIL on the pure-Python
+filter hot path.  The knob threads through
 :class:`~repro.core.roles.CloudServer` (``executor=`` / ``workers=``),
 :class:`~repro.core.scheme.PPANNS`, the serving frontend, and the CLI
 (``--executor`` / ``--workers``); results are bit-identical between
@@ -63,7 +53,6 @@ from repro.core.errors import ParameterError
 __all__ = [
     "EXECUTOR_MODES",
     "Settled",
-    "map_settled",
     "map_ordered",
     "pool_width",
     "resolve_executor",
@@ -150,6 +139,20 @@ class Settled(Generic[_ResultT]):
     value: _ResultT | None = None
     error: Exception | None = None
 
+    @classmethod
+    def capture(
+        cls, fn: Callable[[_ItemT], _ResultT], item: _ItemT
+    ) -> "Settled[_ResultT]":
+        """Call ``fn(item)`` and settle its result or :class:`Exception`.
+
+        ``KeyboardInterrupt`` / ``SystemExit`` are not task failures and
+        propagate.
+        """
+        try:
+            return cls(value=fn(item))
+        except Exception as exc:
+            return cls(error=exc)
+
     @property
     def ok(self) -> bool:
         """Whether this position completed without raising."""
@@ -162,63 +165,32 @@ class Settled(Generic[_ResultT]):
         return self.value
 
 
-def map_settled(
-    fn: Callable[[_ItemT], _ResultT], items: Iterable[_ItemT]
-) -> list[Settled[_ResultT]]:
-    """Apply ``fn`` to every item on the shared pool; settle each in order.
-
-    The no-raise form of :func:`map_ordered` — the serving scheduler's
-    primitive.  Every input position settles independently to a
-    :class:`Settled` holding either its result or the exception it
-    raised, in **input order**; a failing item neither kills nor
-    reorders its siblings, and the caller decides how to deliver the
-    failures (the online serving path routes each one to its query's
-    future).
-
-    Only :class:`Exception` is settled; ``KeyboardInterrupt`` /
-    ``SystemExit`` propagate immediately (remaining pool tasks finish
-    and are discarded).
-
-    Fewer than two items, or a call made from inside one of the pool's
-    own workers (a nested fan-out would deadlock a bounded pool), runs
-    inline on the calling thread with identical semantics.
-    """
-    work: Sequence[_ItemT] = list(items)
-
-    def settle_call(item: _ItemT) -> Settled[_ResultT]:
-        try:
-            return Settled(value=fn(item))
-        except Exception as exc:
-            return Settled(error=exc)
-
-    if len(work) < 2 or in_worker_thread():
-        return [settle_call(item) for item in work]
-    futures = [shared_pool().submit(settle_call, item) for item in work]
-    # settle_call only lets BaseExceptions escape, so future.result()
-    # here re-raises KeyboardInterrupt / SystemExit immediately and
-    # settles everything else.
-    return [future.result() for future in futures]
-
-
 def map_ordered(
     fn: Callable[[_ItemT], _ResultT], items: Iterable[_ItemT]
 ) -> list[_ResultT]:
     """Apply ``fn`` to every item on the shared pool; gather in order.
 
-    The parallel analogue of ``[fn(item) for item in items]`` — the
-    raise-on-failure view of :func:`map_settled`:
+    The parallel analogue of ``[fn(item) for item in items]``:
 
     * results are returned in **input order**, not completion order;
     * every submitted task runs to completion even if a sibling raises
       (per-item error isolation — no half-cancelled pool state);
     * if any task raised, the exception of the **first failing input
       position** is re-raised after the gather, so error reporting is
-      deterministic under arbitrary thread scheduling.
+      deterministic under arbitrary thread scheduling;
+    * ``KeyboardInterrupt`` / ``SystemExit`` propagate immediately
+      (remaining pool tasks finish and are discarded).
 
-    Inline execution (fewer than two items, nested in a pool worker)
-    behaves exactly as in :func:`map_settled`.
+    Fewer than two items, or a call made from inside one of the pool's
+    own workers (a nested fan-out would deadlock a bounded pool), runs
+    inline on the calling thread with identical semantics.
     """
-    outcomes = map_settled(fn, items)
+    work: Sequence[_ItemT] = list(items)
+    if len(work) < 2 or in_worker_thread():
+        outcomes = [Settled.capture(fn, item) for item in work]
+    else:
+        futures = [shared_pool().submit(Settled.capture, fn, item) for item in work]
+        outcomes = [future.result() for future in futures]
     for outcome in outcomes:
         if outcome.error is not None:
             raise outcome.error

@@ -1,9 +1,8 @@
 """The multi-process data plane: shard-affine workers over shared memory.
 
-The thread executor (:mod:`repro.core.executor`) overlaps queries well
-when the kernels release the GIL, but the filter phase's graph walks
-are pure Python — on a many-core host a thread pool leaves the
-hardware idle.  This module is the process-based execution mode: the
+Under the thread executor a batch's queries run one after another on
+the calling thread: the filter phase's graph walks are pure Python that
+hold the GIL, so on a many-core host threads leave the hardware idle.  This module is the process-based execution mode: the
 server publishes its ciphertext matrices (every shard's ``C_SAP``
 slice and the global ``C_DCE`` block) into one shared-memory arena
 (:mod:`repro.core.shm`) and spawns worker processes that attach the

@@ -386,7 +386,8 @@ class CloudServer:
     executor:
         Batch execution mode (one of
         :data:`repro.core.executor.EXECUTOR_MODES`): ``"threads"``
-        (default — the shared thread pool) or ``"processes"`` — the
+        (default — the calling thread, with the shared thread pool for
+        the shard scatter) or ``"processes"`` — the
         shared-memory data plane of :mod:`repro.core.plane`, built
         lazily on the first batch and rebuilt automatically after
         maintenance.  Bit-identical answers either way; when the
@@ -544,7 +545,6 @@ class CloudServer:
     def serving_frontend(
         self,
         max_batch_size: int = 32,
-        batch_window_seconds: float = 0.002,
         max_queue_depth: int = 1024,
         cache_size: int = 0,
         refine_engine: "str | None" = None,
@@ -555,8 +555,8 @@ class CloudServer:
         Requests submitted to the frontend enter a bounded admission
         queue (explicit backpressure via
         :class:`~repro.serve.frontend.QueueFullError`), a scheduler
-        thread forms micro-batches by size cap or latency window —
-        whichever fires first — and each batch runs the same amortized
+        thread batches whatever is queued (up to ``max_batch_size``) as
+        soon as it is free, and each batch runs the same amortized
         engine as :meth:`answer` on a pre-assembled batch.  See
         :mod:`repro.serve` for the knobs.
         """
@@ -565,7 +565,6 @@ class CloudServer:
         return ServingFrontend(
             self,
             max_batch_size=max_batch_size,
-            batch_window_seconds=batch_window_seconds,
             max_queue_depth=max_queue_depth,
             cache_size=cache_size,
             refine_engine=refine_engine,
@@ -582,10 +581,10 @@ class CloudServer:
     ) -> SearchResult | SearchResultBatch:
         """Run Algorithm 2 for one encrypted query or a whole batch.
 
-        A batch fans out over the shared worker pool and amortizes
-        parameter resolution, the key check and liveness filtering
-        across queries; its results are element-wise identical to
-        answering each query individually.  ``refine_engine`` /
+        A batch amortizes parameter resolution, the key check and
+        liveness filtering across its queries, which then run one after
+        another; its results are element-wise identical to answering
+        each query individually.  ``refine_engine`` /
         ``filter_engine`` override the server's configured engines for
         this call (``filter_engine`` applies to every mode — the filter
         phase always runs).

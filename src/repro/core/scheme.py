@@ -255,7 +255,6 @@ class PPANNS:
     def serve(
         self,
         max_batch_size: int = 32,
-        batch_window_seconds: float = 0.002,
         max_queue_depth: int = 1024,
         cache_size: int = 0,
         refine_engine: str | None = None,
@@ -265,13 +264,13 @@ class PPANNS:
 
         Returns a :class:`~repro.serve.frontend.ServingFrontend`:
         submit encrypted queries one at a time and the server forms the
-        micro-batches that amortize per-batch setup (size cap /
-        latency window, bounded queue with
+        micro-batches that amortize per-batch setup (whatever is queued,
+        up to the size cap, bounded queue with
         :class:`~repro.serve.frontend.QueueFullError` backpressure,
         optional LRU result cache, live
         :class:`~repro.serve.metrics.ServerMetrics`)::
 
-            with scheme.serve(batch_window_seconds=0.002) as frontend:
+            with scheme.serve(max_batch_size=32) as frontend:
                 future = frontend.submit(scheme.user.encrypt_query(q, k=10))
                 ids = future.result().ids
 
@@ -282,7 +281,6 @@ class PPANNS:
         """
         frontend = self.server.serving_frontend(
             max_batch_size=max_batch_size,
-            batch_window_seconds=batch_window_seconds,
             max_queue_depth=max_queue_depth,
             cache_size=cache_size,
             refine_engine=refine_engine,

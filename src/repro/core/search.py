@@ -39,19 +39,22 @@ The ``k'`` knob trades accuracy for refine cost (Figure 5); ``beta``
 bounds the filter phase's candidate quality (Figure 4).
 
 The batch entry point is :func:`execute_batch`: parameter resolution,
-the key check, and liveness-mask construction happen once per batch, and
-the queries then **fan out over the shared worker pool**
-(:mod:`repro.core.executor`) — numpy's distance and DCE kernels release
-the GIL, so independent queries overlap on multi-core hosts.  Results
-come back in query order and a failing query neither kills nor reorders
-its siblings (the first failure by query position is re-raised after the
-gather).  :func:`execute_batch_settled` is the no-raise form the online
-serving layer (:mod:`repro.serve`) consumes: each query settles
-independently to its result or its exception, so a scheduler-formed
-micro-batch can deliver per-query failures to per-query futures without
-discarding sibling answers.  The seed-era :func:`filter_and_refine` /
-:func:`filter_only` signatures remain as thin wrappers over the same
-pipeline.
+engine resolution, the key check, and liveness-mask construction happen
+once per batch, and the queries then run **one after another on the
+calling thread**.  The graph walks and refine scans hold the GIL, so a
+thread per query made them slower, not faster: on a 2-core host, traced
+refine time on the ``batch_bruteforce_inproc`` benchmark fell from 399
+to 294 µs/query once the fan-out went.  Parallelism comes from the
+batched filter kernels, the shard scatter and the process data plane.
+Results come back in query order and a failing query neither kills nor
+reorders its siblings (the first failure by query position is re-raised
+after every query ran).  :func:`execute_batch_settled` is the no-raise
+form the online serving layer (:mod:`repro.serve`) consumes: each query
+settles independently to its result or its exception, so a
+scheduler-formed micro-batch can deliver per-query failures to
+per-query futures without discarding sibling answers.  The seed-era
+:func:`filter_and_refine` / :func:`filter_only` signatures remain as
+thin wrappers over the same pipeline.
 
 The engine is index-shape agnostic: it calls ``index.filter_search``, so
 a monolithic :class:`~repro.core.index.EncryptedIndex` answers from its
@@ -73,7 +76,7 @@ import numpy as np
 
 from repro.core.dce import DCETrapdoor
 from repro.core.errors import KeyMismatchError, ParameterError
-from repro.core.executor import Settled, map_settled
+from repro.core.executor import Settled
 from repro.core.filterengine import (
     FILTER_ENGINES,
     FilterEngine,
@@ -134,7 +137,7 @@ class PipelineContext:
     """Everything one query's staged pipeline reads and writes.
 
     The immutable inputs (index, ciphertexts, resolved request, batch
-    liveness mask, refine engine) are set by the caller; the stages fill
+    liveness mask, resolved engines) are set by the caller; the stages fill
     in the intermediate state (``candidate_ids``, ``refine_outcome``,
     ...) and :func:`run_pipeline` records each stage's wall clock into
     ``stage_seconds``.  The ``respond`` stage folds it all into
@@ -148,9 +151,10 @@ class PipelineContext:
     k_prime: int
     live_mask: np.ndarray
     engine: RefineEngine
-    #: Filter-stage engine (name, instance or None for the default);
-    #: resolved to an instance by ``stage_filter``.
-    filter_engine: "FilterEngine | str | None" = None
+    #: Filter-stage engine, already resolved by the entry point.
+    filter_engine: FilterEngine = field(
+        default_factory=lambda: get_filter_engine(None)
+    )
     #: Precomputed filter output for this query — set by the batched
     #: filter pre-pass in :func:`execute_batch_settled` so ``stage_filter``
     #: consumes ``(ids, dists, shard_timings, stats, seconds)`` instead of
@@ -185,7 +189,6 @@ def stage_filter(ctx: PipelineContext) -> None:
     output — ids, distances, timings and stats are bit-identical to
     searching here.
     """
-    ctx.filter_engine = get_filter_engine(ctx.filter_engine)
     if ctx.prefiltered is not None:
         ids, dists, timings, stats, seconds = ctx.prefiltered
         ctx.candidate_ids = ids
@@ -228,9 +231,7 @@ def stage_respond(ctx: PipelineContext) -> None:
         if ctx.filter_seconds_override is not None
         else seconds.get("filter", 0.0)
     )
-    filter_engine = (
-        ctx.filter_engine.name if ctx.filter_engine is not None else None
-    )
+    filter_engine = ctx.filter_engine.name
     if ctx.refine_outcome is None:
         ctx.result = SearchResult(
             ids=ctx.candidate_ids[: ctx.request.k],
@@ -297,7 +298,7 @@ def _run_single(
     k_prime: int,
     live_mask: np.ndarray,
     engine: RefineEngine,
-    filter_engine: "FilterEngine | str | None" = None,
+    filter_engine: FilterEngine,
     prefiltered: tuple | None = None,
 ) -> SearchResult:
     """One query through the staged pipeline; parameters are pre-resolved."""
@@ -392,22 +393,22 @@ def execute_batch_settled(
     batch equally.
 
     ``data_plane`` routes the batch through a
-    :class:`~repro.core.plane.ProcessDataPlane` instead of the thread
-    fan-out (``None`` = threads).  The plane path runs the same staged
+    :class:`~repro.core.plane.ProcessDataPlane` instead of the calling
+    thread (``None`` = threads).  The plane path runs the same staged
     semantics — worker-side filter, parent-side mask, worker-side refine
     — and is bit-identical to the thread path; a worker crash settles
     exactly the affected queries with
     :class:`~repro.core.plane.DataPlaneError`.
 
     Returns ``(settled, wall_seconds, request)`` where ``wall_seconds``
-    is the fan-out's start-to-finish wall clock and ``request`` the
+    is the per-query loop's start-to-finish wall clock and ``request`` the
     batch's fully resolved :class:`SearchRequest` (so callers never
     re-resolve and risk drifting from what actually executed).
 
     ``filter_engine`` selects the filter-stage engine (bit-identical
     results on every engine).  On the ``vectorized`` engine, backends
     that advertise a batched kernel (brute-force, IVF) filter the whole
-    batch in one GEMM pre-pass before the per-query fan-out.  Custom
+    batch in one GEMM pre-pass before the per-query loop.  Custom
     filter-engine *instances* (not registry singletons) are not
     picklable by name, so such batches run on the thread path even when
     a data plane is supplied.
@@ -479,13 +480,13 @@ def execute_batch_settled(
             k_prime,
             live_mask,
             engine,
-            filter_engine=fengine,
+            fengine,
             prefiltered=None if prefiltered is None else prefiltered[i],
         )
 
-    fanout_start = time.perf_counter()
-    settled = map_settled(run_query, range(len(batch)))
-    return settled, time.perf_counter() - fanout_start, request
+    loop_start = time.perf_counter()
+    settled = [Settled.capture(run_query, i) for i in range(len(batch))]
+    return settled, time.perf_counter() - loop_start, request
 
 
 def _settled_via_plane(
@@ -623,11 +624,10 @@ def execute_batch(
 
     Parameter resolution, the trapdoor key check, and the liveness mask
     are computed once; the queries then run the staged Algorithm 2
-    pipeline concurrently on the shared worker pool
-    (:func:`repro.core.executor.map_settled`), with results gathered in
+    pipeline one after another on the calling thread, with results in
     query order.  Per-query error isolation: every query runs to
     completion even if a sibling raises, and the first failure by query
-    position is re-raised after the gather.  Results are element-wise
+    position is re-raised after the loop.  Results are element-wise
     identical to answering the batch's queries one at a time.
 
     ``refine_engine`` selects the refine-stage implementation by name
@@ -639,9 +639,8 @@ def execute_batch(
     ``data_plane`` routes the batch through a process data plane exactly
     as in :func:`execute_batch_settled`.
 
-    The returned batch records the fan-out's start-to-finish wall clock
-    in ``wall_seconds``; the per-query stage timings are thread-local
-    and can sum to more than that when queries overlap.
+    The returned batch records the per-query loop's start-to-finish
+    wall clock in ``wall_seconds``.
     """
     settled, wall_seconds, request = execute_batch_settled(
         index,
@@ -684,7 +683,7 @@ def filter_only(
         k_prime,
         index.live_mask(),
         get_refine_engine(None),
-        filter_engine=filter_engine,
+        get_filter_engine(filter_engine),
     )
 
 
@@ -741,5 +740,5 @@ def filter_and_refine(
         k_prime,
         index.live_mask(),
         get_refine_engine(refine_engine),
-        filter_engine=filter_engine,
+        get_filter_engine(filter_engine),
     )

@@ -8,8 +8,8 @@ own :class:`~repro.core.backends.FilterBackend` over its slice of the
 DCPE ciphertexts — and answers the filter phase by **scatter-gather**:
 
 * **scatter** — the query's DCPE ciphertext fans out to every shard
-  (the process-wide worker pool of :mod:`repro.core.executor`; numpy
-  kernels release the GIL, so shards overlap on multi-core hosts);
+  over the process-wide worker pool of :mod:`repro.core.executor`
+  (kept after an A/B against a serial scatter; see that module);
 * **gather** — per-shard candidate heaps come back as ``(global id,
   approximate distance)`` pairs and are merged into one global top-k'
   by distance (ties broken by id);
@@ -38,7 +38,7 @@ from repro.core.build import BuildReport, build_shard_backends
 from repro.core.dce import DCEEncryptedDatabase
 from repro.core.errors import CiphertextFormatError, ParameterError
 from repro.core.executor import map_ordered
-from repro.core.filterengine import get_filter_engine
+from repro.core.filterengine import FilterEngine, get_filter_engine
 from repro.core.index import IndexSizeReport
 from repro.core.protocol import ShardTiming
 from repro.hnsw.graph import HNSWIndex, HNSWParams, SearchStats
@@ -107,11 +107,7 @@ def assign_shards(num_vectors: int, num_shards: int, strategy: str) -> np.ndarra
 
 
 # The scatter step draws from the process-wide worker pool in
-# repro.core.executor — the same pool the pipelined batch executor fans
-# queries out on.  map_ordered keeps the gather deterministic and runs
-# the scatter inline when the caller is already a pool worker (a batch
-# query scattering from inside the batch fan-out), so nesting the two
-# parallel layers can never deadlock the bounded pool.
+# repro.core.executor; map_ordered keeps the gather deterministic.
 
 
 class Shard:
@@ -161,15 +157,18 @@ class Shard:
         k_prime: int,
         ef_search: int | None,
         stats: SearchStats,
-        engine=None,
+        engine: FilterEngine,
     ) -> tuple[np.ndarray, np.ndarray, ShardTiming]:
-        """Local k'-ANNS, mapped to global ids, with wall-clock timing."""
+        """Local k'-ANNS, mapped to global ids, with wall-clock timing.
+
+        ``engine`` is the filter engine instance the index resolved.
+        """
         start = time.perf_counter()
         if self.backend is None:
             ids = np.empty(0, dtype=np.int64)
             dists = np.empty(0)
         else:
-            local_ids, dists = get_filter_engine(engine).search(
+            local_ids, dists = engine.search(
                 self.backend, sap_query, k_prime, ef_search=ef_search, stats=stats
             )
             ids = self.global_ids[local_ids]
@@ -186,7 +185,7 @@ class Shard:
         k_prime: int,
         ef_search: int | None,
         stats_list: "list[SearchStats] | None",
-        engine=None,
+        engine: FilterEngine,
     ) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[ShardTiming]]:
         """Local k'-ANNS for a micro-batch, mapped to global ids.
 
@@ -203,7 +202,7 @@ class Shard:
         else:
             results = [
                 (self.global_ids[ids], dists)
-                for ids, dists in get_filter_engine(engine).search_batch(
+                for ids, dists in engine.search_batch(
                     self.backend,
                     sap_queries,
                     k_prime,
@@ -405,6 +404,7 @@ class ShardedEncryptedIndex:
         runs (see :mod:`repro.core.filterengine`); results are
         engine-independent.
         """
+        engine = get_filter_engine(engine)
         shard_stats = [SearchStats() for _ in self._shards]
         outcomes = map_ordered(
             lambda pair: pair[0].search(sap_query, k_prime, ef_search, pair[1], engine),
@@ -434,6 +434,7 @@ class ShardedEncryptedIndex:
         are merged exactly as in :meth:`filter_search` — so the results
         are bit-identical to looping it.
         """
+        engine = get_filter_engine(engine)
         queries = np.asarray(sap_queries)
         count = int(queries.shape[0])
         per_shard_stats = [

@@ -14,11 +14,7 @@ count so ``benchmarks/bench_sharding.py`` can plot the scaling curve.
 :func:`sweep_refine_engine` does the same for the refine stage's
 pluggable engines (:mod:`repro.core.refine`): one curve per engine over
 a shared ``ef_search`` grid, so the heap-vs-vectorized latency gap is
-visible at every operating point.  :func:`sweep_serving`
-sweeps the online layer's micro-batch latency window
-(:mod:`repro.serve`): one point per window over an open-loop workload,
-reporting served throughput, latency tails, and the realized mean
-batch size — the curve ``benchmarks/bench_serving.py`` asserts on.
+visible at every operating point.
 """
 
 from __future__ import annotations
@@ -36,13 +32,10 @@ from repro.hnsw.bruteforce import exact_knn
 __all__ = [
     "CurvePoint",
     "MethodCurve",
-    "ServingPoint",
-    "ServingCurve",
     "sweep_ppanns",
     "sweep_filter_only",
     "sweep_shards",
     "sweep_refine_engine",
-    "sweep_serving",
     "ground_truth",
 ]
 
@@ -90,106 +83,6 @@ class MethodCurve:
         """Best QPS among points with recall >= ``recall_floor`` (None if none)."""
         eligible = [p.qps for p in self.points if p.recall >= recall_floor]
         return max(eligible) if eligible else None
-
-
-@dataclass(frozen=True)
-class ServingPoint:
-    """One point of a serving-layer window sweep.
-
-    Attributes
-    ----------
-    window_seconds:
-        The swept micro-batch latency window.
-    qps:
-        Served throughput: queries / (last completion - first submit).
-    latency_p50 / latency_p95 / latency_p99:
-        End-to-end per-query latency percentiles (admission to
-        completion) from the frontend's metrics.
-    mean_batch_size:
-        Mean scheduler-formed micro-batch size at this window.
-    batches:
-        Micro-batches dispatched.
-    """
-
-    window_seconds: float
-    qps: float
-    latency_p50: float
-    latency_p95: float
-    latency_p99: float
-    mean_batch_size: float
-    batches: int
-
-
-@dataclass(frozen=True)
-class ServingCurve:
-    """A labelled throughput/latency curve over the batch-window grid."""
-
-    label: str
-    points: tuple[ServingPoint, ...]
-
-    def best_qps(self) -> float:
-        """The curve's throughput ceiling."""
-        return max(point.qps for point in self.points)
-
-    def best_point(self) -> ServingPoint:
-        """The point with the highest served throughput."""
-        return max(self.points, key=lambda point: point.qps)
-
-
-def sweep_serving(
-    scheme: PPANNS,
-    queries: np.ndarray,
-    k: int,
-    window_grid: tuple[float, ...],
-    max_batch_size: int = 32,
-    ratio_k: int | None = None,
-    ef_search: int | None = None,
-    rate: float | None = None,
-    seed: int = 0,
-    label: str | None = None,
-) -> ServingCurve:
-    """Sweep the micro-batch latency window of the online serving layer.
-
-    The workload is encrypted query-by-query up front (the online model:
-    each user ships an individual :class:`EncryptedQuery`) and replayed
-    open-loop through a fresh
-    :class:`~repro.serve.frontend.ServingFrontend` per window —
-    submissions never wait for answers, so the scheduler, not the
-    client, sets the batching.  ``rate`` is the Poisson arrival rate in
-    queries/second (inter-arrivals drawn from a seeded exponential);
-    ``None`` submits back-to-back, the heavy-traffic limit.
-    """
-    from repro.serve import replay_open_loop
-
-    encrypted = [
-        scheme.user.encrypt_query(query, k, ratio_k=ratio_k, ef_search=ef_search)
-        for query in queries
-    ]
-    points = []
-    for window in window_grid:
-        frontend = scheme.serve(
-            max_batch_size=max_batch_size,
-            batch_window_seconds=window,
-            max_queue_depth=max(1024, len(encrypted)),
-        )
-        with frontend:
-            _, elapsed = replay_open_loop(frontend, encrypted, rate=rate, seed=seed)
-            snapshot = frontend.metrics.snapshot()
-        points.append(
-            ServingPoint(
-                window_seconds=float(window),
-                qps=len(encrypted) / elapsed if elapsed > 0 else float("inf"),
-                latency_p50=snapshot.latency_p50,
-                latency_p95=snapshot.latency_p95,
-                latency_p99=snapshot.latency_p99,
-                mean_batch_size=snapshot.mean_batch_size,
-                batches=snapshot.batches,
-            )
-        )
-    return ServingCurve(
-        label=label if label is not None else f"serving(max_batch={max_batch_size})",
-        points=tuple(points),
-    )
 
 
 def ground_truth(

@@ -11,10 +11,9 @@ setup:
   :class:`~repro.serve.frontend.QueueFullError`, optional LRU result
   cache.
 * :class:`~repro.serve.scheduler.BatchScheduler` — the scheduler
-  thread: forms micro-batches by size cap *or* latency window
-  (whichever fires first) and dispatches them through
-  :func:`repro.core.search.execute_batch_settled` onto the shared
-  executor.
+  thread: as soon as it is free it takes whatever is queued (up to the
+  size cap) and runs it through
+  :func:`repro.core.search.execute_batch_settled` on the same thread.
 * :class:`~repro.serve.cache.ResultCache` — LRU of answered results
   keyed by ciphertext digest (:func:`~repro.serve.cache.query_digest`).
 * :class:`~repro.serve.metrics.ServerMetrics` — qps, p50/p95/p99
@@ -25,13 +24,14 @@ Construction normally goes through
 :meth:`repro.core.roles.CloudServer.serving_frontend` or
 :meth:`repro.core.scheme.PPANNS.serve`::
 
-    with scheme.serve(max_batch_size=16, batch_window_seconds=0.002) as f:
+    with scheme.serve(max_batch_size=16) as f:
         future = f.submit(encrypted_query)     # returns immediately
         result = future.result()
         print(f.metrics.snapshot().qps)
 
-``benchmarks/bench_serving.py`` drives an open-loop Poisson workload
-through this stack and asserts the micro-batched throughput bar.
+The end-to-end benchmark's ``online_hnsw_net`` and
+``saturation_ivf_sharded_inproc`` workloads measure served latency and
+throughput through this stack.
 """
 
 from repro.serve.cache import ResultCache, query_digest

@@ -6,11 +6,13 @@ immediately); the frontend admits them into a **bounded queue** — the
 explicit backpressure point — and a :class:`~repro.serve.scheduler
 .BatchScheduler` thread forms the micro-batches that amortize per-batch
 setup, exactly as an offline caller's hand-assembled
-``EncryptedQueryBatch`` would.
+``EncryptedQueryBatch`` would.  The scheduler never waits for company:
+it dispatches whatever is queued (up to the size cap) as soon as it is
+free, and runs the batch's pipelines itself, one query after another.
 
 ```
- submit ──▶ admit (bounded queue, QueueFullError) ──▶ schedule (size cap
-        ◀── future                                     | latency window)
+ submit ──▶ admit (bounded queue, QueueFullError) ──▶ schedule (all queued,
+        ◀── future                                     up to the size cap)
                                                             │
  respond ◀── per-query futures ◀── staged pipeline ◀── micro-batch
 ```
@@ -34,8 +36,7 @@ Design points:
 
 Construction goes through :meth:`repro.core.roles.CloudServer
 .serving_frontend` / :meth:`repro.core.scheme.PPANNS.serve`; the CLI's
-``serve`` and ``workload`` commands and ``benchmarks/bench_serving.py``
-drive it end to end.
+``serve``, ``workload`` and ``listen`` commands drive it end to end.
 """
 
 from __future__ import annotations
@@ -100,11 +101,8 @@ class ServingFrontend:
     server:
         The cloud server whose index and defaults answer the traffic.
     max_batch_size:
-        Micro-batch size cap (dispatch fires when a forming batch
-        reaches it).
-    batch_window_seconds:
-        Micro-batch latency window, counted from the batch's first
-        query (dispatch fires when it expires; 0 disables batching).
+        Micro-batch size cap: the most queued queries one dispatch
+        takes up.
     max_queue_depth:
         Admission-queue bound; a submit beyond it raises
         :class:`QueueFullError`.
@@ -130,20 +128,22 @@ class ServingFrontend:
         self,
         server,
         max_batch_size: int = 32,
-        batch_window_seconds: float = 0.002,
         max_queue_depth: int = 1024,
         cache_size: int = 0,
         refine_engine: str | None = None,
         filter_engine: str | None = None,
         metrics: ServerMetrics | None = None,
     ) -> None:
+        if max_batch_size < 1:
+            raise ParameterError(
+                f"max_batch_size must be >= 1, got {max_batch_size}"
+            )
         if max_queue_depth < 1:
             raise ParameterError(
                 f"max_queue_depth must be >= 1, got {max_queue_depth}"
             )
         self._server = server
         self._max_batch_size = max_batch_size
-        self._batch_window_seconds = batch_window_seconds
         self._max_queue_depth = max_queue_depth
         self._refine_engine = refine_engine
         self._filter_engine = filter_engine
@@ -181,11 +181,6 @@ class ServingFrontend:
         return self._max_batch_size
 
     @property
-    def batch_window_seconds(self) -> float:
-        """Micro-batch latency window in seconds."""
-        return self._batch_window_seconds
-
-    @property
     def running(self) -> bool:
         """Whether the scheduler thread is alive."""
         scheduler = self._scheduler
@@ -208,7 +203,6 @@ class ServingFrontend:
                 self._queue,
                 _weak_hook(self._execute),
                 max_batch_size=self._max_batch_size,
-                batch_window_seconds=self._batch_window_seconds,
                 metrics=self._metrics,
                 on_result=_weak_hook(self._cache_result),
             ).start()
@@ -401,10 +395,9 @@ def replay_open_loop(
     """Replay an encrypted workload open-loop; ``(results, elapsed)``.
 
     The one definition of the open-loop arrival contract, shared by the
-    CLI's ``serve`` / ``workload`` commands, the eval runner's
-    :func:`~repro.eval.runner.sweep_serving`, and
-    ``benchmarks/bench_serving.py`` — submissions never wait on
-    answers, so the scheduler (not the client) sets the batching.
+    CLI's ``serve`` / ``workload`` commands and the serving benches —
+    submissions never wait on answers, so the scheduler (not the
+    client) sets the batching.
     ``rate`` is a Poisson arrival rate in queries/second (inter-arrival
     gaps drawn from a ``seed``-ed exponential); ``None`` submits
     back-to-back, the heavy-traffic limit.  ``elapsed`` runs from the

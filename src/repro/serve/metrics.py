@@ -14,8 +14,7 @@ needs *continuous* aggregates over whatever traffic arrives.
   plus the maximum ever observed (how close the server ran to
   backpressure);
 * **batch-size histogram** — how large the scheduler's micro-batches
-  actually were, the direct signature of the size-cap-vs-latency-window
-  race;
+  actually were: how much traffic queued behind each running batch;
 * **per-stage seconds** — the pipeline's ``filter`` / ``mask`` /
   ``refine`` stage totals, summed over every completed query (the
   online continuation of the per-result stage split).

@@ -1,33 +1,35 @@
-"""Micro-batch formation: the size-cap / latency-window race.
+"""Micro-batch formation: greedy dispatch, never a wait for company.
 
 The cost model that makes batching worth it is amortization: parameter
 resolution, the trapdoor key check, and the liveness mask are built once
-per :class:`~repro.core.protocol.EncryptedQueryBatch`, and the batch's
-queries then fan out over the shared worker pool.  Offline callers hand
-the server pre-assembled batches; an *online* server has to assemble
-them itself from requests that arrive one at a time.
+per :class:`~repro.core.protocol.EncryptedQueryBatch`, and the batched
+filter kernels (GEMM, lockstep beam search) answer its rows together.
+Offline callers hand the server pre-assembled batches; an *online*
+server has to assemble them itself from requests that arrive one at a
+time.
 
 :class:`BatchScheduler` owns that assembly.  A single scheduler thread
-pulls pending queries off the frontend's admission queue and forms
-**micro-batches** under two limits, dispatching on whichever fires
-first:
-
-* the **size cap** (``max_batch_size``) — a full batch goes out
-  immediately;
-* the **latency window** (``batch_window_seconds``) — counted from the
-  moment the batch's *first* query is taken up, so no query waits
-  longer than one window for company.  A window of 0 degenerates to
-  one-query batches (the no-batching baseline).
+blocks for the first pending query, then takes whatever else is
+*already* queued — up to the size cap (``max_batch_size``) — and
+dispatches at once.  It never waits for company: while a batch runs,
+arrivals queue up behind it and form the next batch, so batches grow
+with load and a lone query pays no timer.  (On the open-loop
+``online_hnsw_net`` benchmark on a 2-core host, a fixed 2 ms window
+batched about 2 queries and cost 2.4 ms of traced scheduler wait per
+query; greedy formation cut that wait to 0.2 ms and the median request
+latency from 12.7 to 6.9 ms.)
 
 A formed micro-batch is grouped by ``(request, key_id)`` — only queries
 sharing their plaintext parameters and DCE key can share a batch
 message — and each group is stacked into an ``EncryptedQueryBatch`` and
-dispatched through
-:func:`repro.core.search.execute_batch_settled`, which fans the queries
-out over the process-wide executor.  The scheduler thread is *not* a
-pool worker, so the fan-out parallelizes, and each query's shard
-scatter-gather then runs inline inside its pool worker exactly as in
-the offline batch path (see :mod:`repro.core.executor` on nesting).
+run by :func:`repro.core.search.execute_batch_settled` on this same
+thread, one query after another.  The filter and refine kernels are
+interpreter-bound graph walks and scans that hold the GIL, so running a
+batch's queries side by side on threads made them slower, not faster
+(traced refine time on ``batch_bruteforce_inproc``, 2-core host: 399 →
+294 µs/query once serial).  Parallelism
+comes from the batched kernels, the shard scatter and the process data
+plane (``executor="processes"``).
 
 Error delivery is strictly per-query: each pending query settles into
 its own future, a poisoned query neither kills nor reorders nor stalls
@@ -130,8 +132,6 @@ class BatchScheduler:
         here).
     max_batch_size:
         Micro-batch size cap (>= 1).
-    batch_window_seconds:
-        Latency window counted from the batch's first query (>= 0).
     metrics:
         The frontend's :class:`~repro.serve.metrics.ServerMetrics`
         (batch sizes, completions, failures land here), or ``None``.
@@ -146,7 +146,6 @@ class BatchScheduler:
         source: "queue.Queue",
         execute,
         max_batch_size: int = 32,
-        batch_window_seconds: float = 0.002,
         metrics=None,
         on_result=None,
     ) -> None:
@@ -154,14 +153,9 @@ class BatchScheduler:
             raise ParameterError(
                 f"max_batch_size must be >= 1, got {max_batch_size}"
             )
-        if batch_window_seconds < 0:
-            raise ParameterError(
-                f"batch_window_seconds must be >= 0, got {batch_window_seconds}"
-            )
         self._source = source
         self._execute = execute
         self._max_batch_size = max_batch_size
-        self._window = batch_window_seconds
         self._metrics = metrics
         self._on_result = on_result
         self._stop_requested = threading.Event()
@@ -190,8 +184,8 @@ class BatchScheduler:
 
         Every query admitted before ``stop`` is still answered — the
         sentinel rides the FIFO behind them, so the thread forms final
-        micro-batches (without window waits) for everything in front of
-        it and exits only when the queue is empty.
+        micro-batches for everything in front of it and exits only when
+        the queue is empty.
         """
         if self._stop_requested.is_set():
             return
@@ -262,15 +256,15 @@ class BatchScheduler:
         return _resolve_hook(self._execute) is None
 
     def _form_batch(self, first: PendingQuery) -> "tuple[list[PendingQuery], bool]":
-        """Collect a micro-batch: size cap vs latency window, first wins."""
+        """Collect a micro-batch: ``first`` plus whatever is already queued.
+
+        Never blocks — the batch is everything that arrived while the
+        previous one ran, up to the size cap.
+        """
         batch = [first]
-        deadline = time.perf_counter() + self._window
         while len(batch) < self._max_batch_size:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                break
             try:
-                item = self._source.get(timeout=remaining)
+                item = self._source.get_nowait()
             except queue.Empty:
                 break
             if item is _STOP:

@@ -11,7 +11,6 @@ from repro.core.executor import (
     Settled,
     in_worker_thread,
     map_ordered,
-    map_settled,
     pool_width,
     resolve_executor,
     shared_pool,
@@ -110,19 +109,14 @@ class TestMapOrdered:
         assert results[1] == [1, 2, 3, 4]
 
 
-class TestMapSettled:
-    def test_all_success(self):
-        settled = map_settled(lambda x: x * 2, range(4))
-        assert [s.value for s in settled] == [0, 2, 4, 6]
-        assert all(s.ok for s in settled)
-
-    def test_failures_settle_in_position(self):
+class TestSettled:
+    def test_capture_settles_value_or_error(self):
         def task(i):
             if i % 2:
                 raise ValueError(f"boom {i}")
             return i
 
-        settled = map_settled(task, range(5))
+        settled = [Settled.capture(task, i) for i in range(5)]
         assert [s.ok for s in settled] == [True, False, True, False, True]
         assert [s.value for s in settled if s.ok] == [0, 2, 4]
         assert str(settled[1].error) == "boom 1"
@@ -134,40 +128,12 @@ class TestMapSettled:
             settled.unwrap()
         assert Settled(value=7).unwrap() == 7
 
-    def test_inline_path_isolates_too(self):
-        """A single-item call runs inline and keeps settled semantics."""
-        def task(i):
-            if i == 0:
-                raise ValueError("first fails")
-            return i
-
-        assert [s.ok for s in map_settled(task, [0])] == [False]
-        assert [s.value for s in map_settled(task, [1])] == [1]
-
-    def test_nested_fanout_settles_inline(self):
-        def inner(i):
-            if i == 1:
-                raise RuntimeError("inner failure")
-            return in_worker_thread()
-
-        def outer(_):
-            return map_settled(inner, range(3))
-
-        outers = map_settled(outer, range(3))
-        for outcome in outers:
-            assert outcome.ok
-            inner_settled = outcome.value
-            assert inner_settled[0].value is True  # ran inline in a worker
-            assert not inner_settled[1].ok
-
-    def test_base_exceptions_propagate(self):
-        def task(i):
-            if i == 1:
-                raise KeyboardInterrupt
-            return i
+    def test_capture_lets_base_exceptions_through(self):
+        def task(_):
+            raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            map_settled(task, range(4))
+            Settled.capture(task, 0)
 
 
 class TestPool:

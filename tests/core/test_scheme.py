@@ -100,7 +100,7 @@ class TestMutationFlushScope:
 
     def test_stale_server_frontend_not_flushed(self, small_dataset):
         scheme = self._scheme(small_dataset)
-        old_frontend = scheme.serve(cache_size=4, batch_window_seconds=0.0)
+        old_frontend = scheme.serve(cache_size=4)
         with old_frontend:
             old_frontend.answer(
                 scheme.user.encrypt_query(small_dataset.queries[0], k=3),
@@ -109,7 +109,7 @@ class TestMutationFlushScope:
             assert len(old_frontend.cache) == 1
 
             scheme.fit(small_dataset.database)  # old_frontend now serves a dead server
-            new_frontend = scheme.serve(cache_size=4, batch_window_seconds=0.0)
+            new_frontend = scheme.serve(cache_size=4)
             with new_frontend:
                 new_frontend.answer(
                     scheme.user.encrypt_query(small_dataset.queries[1], k=3),

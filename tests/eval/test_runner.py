@@ -8,7 +8,6 @@ from repro.eval.runner import (
     sweep_filter_only,
     sweep_ppanns,
     sweep_refine_engine,
-    sweep_serving,
     sweep_shards,
 )
 
@@ -97,41 +96,6 @@ class TestSweeps:
                 shard_grid=(2,),
                 beta=0.3,
             )
-
-    def test_sweep_serving(self, fitted_scheme, small_dataset):
-        curve = sweep_serving(
-            fitted_scheme,
-            small_dataset.queries,
-            k=10,
-            window_grid=(0.0, 0.01),
-            max_batch_size=4,
-        )
-        assert curve.label == "serving(max_batch=4)"
-        assert len(curve.points) == 2
-        assert [point.window_seconds for point in curve.points] == [0.0, 0.01]
-        for point in curve.points:
-            assert point.qps > 0
-            assert point.batches >= 1
-            assert point.latency_p50 <= point.latency_p95 <= point.latency_p99
-        # Window 0 degenerates to one-query batches.
-        assert curve.points[0].mean_batch_size == pytest.approx(1.0)
-        # The wider window must actually batch the 10-query replay.
-        assert curve.points[1].mean_batch_size > 1.0
-        assert curve.best_qps() == max(p.qps for p in curve.points)
-        assert curve.best_point().qps == curve.best_qps()
-
-    def test_sweep_serving_poisson_rate(self, fitted_scheme, small_dataset):
-        curve = sweep_serving(
-            fitted_scheme,
-            small_dataset.queries,
-            k=10,
-            window_grid=(0.005,),
-            max_batch_size=8,
-            rate=2000.0,
-            label="poisson",
-        )
-        assert curve.label == "poisson"
-        assert curve.points[0].qps > 0
 
     def test_truth_mismatch_rejected(self, fitted_scheme, small_dataset):
         with pytest.raises(ParameterError):

@@ -66,7 +66,7 @@ def _raw_connection(net) -> socket.socket:
 class TestSlowLoris:
     def test_trickling_client_is_cut_off_and_others_serve(self, actors):
         server, user, database, key_id = actors
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             with NetServer(
                 frontend, [TenantConfig(key_id)], frame_timeout=0.5
             ) as net:
@@ -92,7 +92,7 @@ class TestSlowLoris:
 
     def test_slow_body_after_valid_header_is_cut_off(self, actors):
         server, user, database, key_id = actors
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             with NetServer(
                 frontend, [TenantConfig(key_id)], frame_timeout=0.5
             ) as net:
@@ -114,7 +114,7 @@ class TestSlowLoris:
 class TestOversizedBody:
     def test_over_limit_length_prefix_refused_unread(self, actors):
         server, user, database, key_id = actors
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             with NetServer(
                 frontend,
                 [TenantConfig(key_id)],
@@ -156,7 +156,7 @@ class TestOversizedBody:
 class TestMidStreamDisconnect:
     def test_half_sent_frame_then_close_fails_alone(self, actors):
         server, user, database, key_id = actors
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             with NetServer(
                 frontend, [TenantConfig(key_id)], frame_timeout=_TIMEOUT
             ) as net:
@@ -181,9 +181,7 @@ class TestMidStreamDisconnect:
         its quota: completions release positions via done-callbacks even
         with nobody left to write to."""
         server, user, database, key_id = actors
-        with server.serving_frontend(
-            max_batch_size=4, batch_window_seconds=0.01
-        ) as frontend:
+        with server.serving_frontend(max_batch_size=4) as frontend:
             with NetServer(
                 frontend,
                 [TenantConfig(key_id, max_in_flight=4)],
@@ -248,7 +246,7 @@ class TestWorkerDeathOverTcp:
         query = user.encrypt_query(database[0] + 0.01, 4)
         expected = CloudServer(index).answer(query)
         with CloudServer(index, executor="processes", workers=1) as server:
-            with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+            with server.serving_frontend() as frontend:
                 with NetServer(frontend, [TenantConfig(key_id)]) as net:
                     host, port = net.address
                     with NetClient(host, port, key_id) as client:

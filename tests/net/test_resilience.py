@@ -60,10 +60,30 @@ def actors():
     return server, user, database, int(index.dce_database.key_id)
 
 
+def _held_frontend(server, seconds):
+    """A frontend whose first batch runs ``seconds`` late.
+
+    Queries admitted while the scheduler holds that batch wait behind
+    it; ``holding`` is set once the scheduler is inside it.
+    """
+    frontend = server.serving_frontend()
+    holding = threading.Event()
+    inner_execute = frontend._execute
+
+    def execute(batch):
+        if not holding.is_set():
+            holding.set()
+            time.sleep(seconds)
+        return inner_execute(batch)
+
+    frontend._execute = execute
+    return frontend, holding
+
+
 class TestNegotiation:
     def test_v2_client_v2_server_negotiates_v2(self, actors):
         server, user, database, key_id = actors
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             with NetServer(frontend, [TenantConfig(key_id)]) as net:
                 host, port = net.address
                 with NetClient(host, port, key_id) as client:
@@ -81,7 +101,7 @@ class TestNegotiation:
         server, user, database, key_id = actors
         query = user.encrypt_query(database[1] + 0.01, 4)
         expected = server.answer(query)
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             with NetServer(frontend, [TenantConfig(key_id)]) as net:
                 sock = socket.create_connection(net.address, timeout=_TIMEOUT)
                 try:
@@ -113,7 +133,7 @@ class TestNegotiation:
         answer correctly, and refuse a deadline_ms it cannot carry."""
         server, user, database, key_id = actors
         monkeypatch.setattr(codec, "PROTOCOL_VERSION_MAX", 1)
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             with NetServer(frontend, [TenantConfig(key_id)]) as net:
                 host, port = net.address
                 with NetClient(host, port, key_id) as client:
@@ -128,13 +148,16 @@ class TestNegotiation:
 
 class TestDeadlineOverWire:
     def test_expired_deadline_fails_typed_not_hangs(self, actors):
-        """A 1 ms budget under a 300 ms batch window must be shed by
+        """A 1 ms budget queued behind a 300 ms batch must be shed by
         the scheduler and surface as DeadlineExceededError."""
         server, user, database, key_id = actors
-        with server.serving_frontend(batch_window_seconds=0.3) as frontend:
+        frontend, holding = _held_frontend(server, 0.3)
+        with frontend:
             with NetServer(frontend, [TenantConfig(key_id)]) as net:
                 host, port = net.address
                 with NetClient(host, port, key_id) as client:
+                    frontend.submit(user.encrypt_query(database[0] + 0.01, 4))
+                    assert holding.wait(_TIMEOUT)
                     query = user.encrypt_query(database[3] + 0.01, 4)
                     with pytest.raises(DeadlineExceededError):
                         client.answer(query, timeout=_TIMEOUT, deadline_ms=1)
@@ -142,7 +165,7 @@ class TestDeadlineOverWire:
 
     def test_deadline_shed_does_not_poison_the_connection(self, actors):
         server, user, database, key_id = actors
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             with NetServer(frontend, [TenantConfig(key_id)]) as net:
                 host, port = net.address
                 with NetClient(host, port, key_id) as client:
@@ -160,7 +183,7 @@ class TestDeadlineOverWire:
 class TestConnectionLimit:
     def test_over_limit_connection_refused_typed(self, actors):
         server, user, database, key_id = actors
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             with NetServer(
                 frontend, [TenantConfig(key_id)], max_connections=1
             ) as net:
@@ -183,7 +206,7 @@ class TestConnectionLimit:
 
     def test_invalid_max_connections_rejected(self, actors):
         server, _, _, key_id = actors
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             with pytest.raises(ParameterError, match="max_connections"):
                 NetServer(frontend, [TenantConfig(key_id)], max_connections=0)
 
@@ -191,7 +214,7 @@ class TestConnectionLimit:
 class TestRateLimitOverWire:
     def test_over_rate_query_refused_with_retry_after(self, actors):
         server, user, database, key_id = actors
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             with NetServer(
                 frontend,
                 [TenantConfig(key_id, rate=0.001, burst=1.0)],
@@ -211,7 +234,7 @@ class TestRateLimitOverWire:
 class TestClientRetries:
     def test_backoff_schedule_is_deterministic(self, actors):
         server, _, _, key_id = actors
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             with NetServer(frontend, [TenantConfig(key_id)]) as net:
                 host, port = net.address
                 with NetClient(
@@ -254,9 +277,7 @@ class TestClientRetries:
         def recorded_sleep(delay):
             slept.append(delay)
             time.sleep(0.05)  # yield so the reader notices the teardown
-        with server.serving_frontend(
-            batch_window_seconds=0.0, cache_size=32
-        ) as frontend:
+        with server.serving_frontend(cache_size=32) as frontend:
             with NetServer(frontend, [TenantConfig(key_id)]) as net:
                 host, port = net.address
                 with NetClient(
@@ -282,7 +303,10 @@ class TestClientRetries:
     def test_deadline_error_is_not_retried(self, actors):
         server, user, database, key_id = actors
         hooks = []
-        with server.serving_frontend(batch_window_seconds=0.3) as frontend:
+        frontend, holding = _held_frontend(server, 0.3)
+        with frontend:
+            frontend.submit(user.encrypt_query(database[0] + 0.01, 4))
+            assert holding.wait(_TIMEOUT)
             with NetServer(frontend, [TenantConfig(key_id)]) as net:
                 host, port = net.address
                 with NetClient(
@@ -304,7 +328,7 @@ class TestClientRetries:
 
     def test_invalid_retry_parameters_rejected(self, actors):
         server, _, _, key_id = actors
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             with NetServer(frontend, [TenantConfig(key_id)]) as net:
                 host, port = net.address
                 with pytest.raises(ParameterError, match="retries"):
@@ -394,13 +418,14 @@ class TestCallerTimeoutRegression:
         reconnects and answers — the orphaned reply cannot be matched
         to the wrong request because the old socket is gone."""
         server, user, database, key_id = actors
-        with server.serving_frontend(batch_window_seconds=0.2) as frontend:
+        frontend, _ = _held_frontend(server, 0.2)
+        with frontend:
             with NetServer(frontend, [TenantConfig(key_id)]) as net:
                 host, port = net.address
                 with NetClient(host, port, key_id) as client:
                     query = user.encrypt_query(database[10] + 0.01, 4)
                     expected = server.answer(query)
-                    # A timeout far below the batch window trips
+                    # A timeout far below the held first batch trips
                     # mid-flight, deterministically...
                     with pytest.raises(RequestTimeoutError):
                         client.answer(query, timeout=0.02)
@@ -413,7 +438,7 @@ class TestCallerTimeoutRegression:
         """A server-side disconnect clears the client's socket so the
         next blocking call redials instead of writing into the void."""
         server, user, database, key_id = actors
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             with NetServer(frontend, [TenantConfig(key_id)]) as net:
                 host, port = net.address
                 client = NetClient(host, port, key_id, retries=3,
@@ -425,7 +450,7 @@ class TestCallerTimeoutRegression:
             while client._sock is not None:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
-            with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+            with server.serving_frontend() as frontend:
                 with NetServer(
                     frontend, [TenantConfig(key_id)], port=port
                 ) as net:
@@ -438,7 +463,7 @@ class TestCallerTimeoutRegression:
 
     def test_submit_after_close_raises_typed(self, actors):
         server, user, database, key_id = actors
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             with NetServer(frontend, [TenantConfig(key_id)]) as net:
                 host, port = net.address
                 client = NetClient(host, port, key_id)

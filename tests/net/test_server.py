@@ -46,9 +46,7 @@ def actors():
 def loopback(actors):
     """A running frontend + NetServer over an ephemeral loopback port."""
     server, user, database, key_id = actors
-    with server.serving_frontend(
-        max_batch_size=4, batch_window_seconds=0.01
-    ) as frontend:
+    with server.serving_frontend(max_batch_size=4) as frontend:
         with NetServer(
             frontend,
             [TenantConfig(key_id, token="s3cret")],
@@ -162,7 +160,7 @@ class TestQuotaOverTheWire:
     def test_over_quota_batch_refused_with_typed_error(self, actors):
         server, user, database, key_id = actors
         batch = user.encrypt_queries(database[:5] + 0.01, 3)
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             with NetServer(
                 frontend, [TenantConfig(key_id, max_in_flight=2)]
             ) as net:
@@ -212,9 +210,7 @@ class TestMultiTenant:
             for i in range(4)
         ]
         expected_a = [server.answer(q) for q in q_a]
-        with server.serving_frontend(
-            max_batch_size=4, batch_window_seconds=0.01
-        ) as frontend:
+        with server.serving_frontend(max_batch_size=4) as frontend:
             with NetServer(
                 frontend,
                 [TenantConfig(key_a, token="a"), TenantConfig(key_b, token="b")],
@@ -242,7 +238,7 @@ class TestMultiTenant:
         owner_b = DataOwner(8, beta=0.3, rng=np.random.default_rng(87))
         key_b = int(owner_b.authorize_user().dce_key.key_id)
         batch = user.encrypt_queries(database[:2] + 0.01, 3)  # tagged key_a
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             with NetServer(
                 frontend,
                 [TenantConfig(key_a, token="a"), TenantConfig(key_b, token="b")],

@@ -118,7 +118,7 @@ class TestChannel:
         server, user, database, key_id = actors
         queries = [user.encrypt_query(database[i] + 0.01, 3) for i in range(4)]
         registry = TenantRegistry([TenantConfig(key_id, max_in_flight=2)])
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             channel = TenantAdmission(frontend, registry).channel(key_id)
             # Serially, quota 2 never blocks: completions release slots.
             for query in queries:
@@ -131,7 +131,7 @@ class TestChannel:
         server, user, database, key_id = actors
         queries = [user.encrypt_query(database[i] + 0.01, 3) for i in range(3)]
         registry = TenantRegistry([TenantConfig(key_id, max_in_flight=2)])
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             channel = TenantAdmission(frontend, registry).channel(key_id)
             with pytest.raises(QuotaExceededError):
                 channel.submit_batch(queries)
@@ -150,7 +150,7 @@ class TestChannel:
         )
         foreign = stranger.encrypt_query(database[0] + 0.01, 3)
         registry = TenantRegistry([TenantConfig(key_id)])
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             channel = TenantAdmission(frontend, registry).channel(key_id)
             with pytest.raises(AuthError, match="authenticated for"):
                 channel.submit(foreign)
@@ -169,7 +169,7 @@ class TestChannel:
         query = user.encrypt_query(database[0] + 0.01, 3)
         registry = TenantRegistry([TenantConfig(key_id, max_in_flight=1)])
         frontend = ServingFrontend(
-            server, batch_window_seconds=0.0, refine_engine=_AlwaysFailEngine()
+            server, refine_engine=_AlwaysFailEngine()
         )
         with frontend:
             channel = TenantAdmission(frontend, registry).channel(key_id)
@@ -191,7 +191,7 @@ class TestChannel:
         registry = TenantRegistry(
             [TenantConfig(key_id, token="t", max_in_flight=5), TenantConfig(12345)]
         )
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             admission = TenantAdmission(frontend, registry)
             channel = admission.channel(key_id, "t")
             channel.answer(query, timeout=30)
@@ -208,7 +208,7 @@ class TestChannel:
     def test_empty_batch_is_a_noop(self, actors):
         server, user, database, key_id = actors
         registry = TenantRegistry([TenantConfig(key_id, max_in_flight=1)])
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             channel = TenantAdmission(frontend, registry).channel(key_id)
             assert channel.submit_batch([]) == []
             assert registry.get(key_id).in_flight == 0
@@ -294,7 +294,7 @@ class TestRateLimitedTenant:
         registry = TenantRegistry()
         registry.register(TenantConfig(key_id, rate=1.0, burst=2.0), clock=clock)
         query = user.encrypt_query(database[0] + 0.01, 3)
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             channel = TenantAdmission(frontend, registry).channel(key_id)
             channel.answer(query, timeout=30)
             channel.answer(query, timeout=30)
@@ -319,7 +319,7 @@ class TestRateLimitedTenant:
             clock=clock,
         )
         queries = [user.encrypt_query(database[i] + 0.01, 3) for i in range(3)]
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             channel = TenantAdmission(frontend, registry).channel(key_id)
             with pytest.raises(RateLimitError):
                 channel.submit_batch(queries)

@@ -50,12 +50,10 @@ def test_streamed_answers_survive_concurrent_compaction():
         compacted.report = report
         compacted.set()
 
-    with scheme.serve(
-        max_batch_size=4, batch_window_seconds=0.005, cache_size=8
-    ) as frontend:
+    with scheme.serve(max_batch_size=4, cache_size=8) as frontend:
         generation_before = frontend.cache.generation
         # Keep the queue busy: many in-flight futures drain through
-        # 5 ms micro-batch windows while the compactor swaps shards.
+        # micro-batches of up to 4 while the compactor swaps shards.
         futures, want = [], []
         threading.Thread(target=compact_now, daemon=True).start()
         for round_id in range(10):
@@ -83,7 +81,7 @@ def test_streamed_answers_survive_concurrent_compaction():
 def test_compaction_flush_prevents_stale_repopulation():
     scheme, database = make_fitted_scheme("bruteforce", shards=2, seed=33)
     scheme.delete(2)
-    with scheme.serve(cache_size=4, batch_window_seconds=0.0) as frontend:
+    with scheme.serve(cache_size=4) as frontend:
         encrypted = scheme.user.encrypt_query(database[1] + 0.01, k=3)
         stale_answer = frontend.answer(encrypted, timeout=30)
         assert len(frontend.cache) == 1
@@ -114,7 +112,7 @@ def test_approximate_backend_serves_no_dead_ids_across_compaction():
     victims = {1, 4, 9}
     for victim in sorted(victims):
         scheme.delete(victim)
-    with scheme.serve(max_batch_size=4, batch_window_seconds=0.005) as frontend:
+    with scheme.serve(max_batch_size=4) as frontend:
         futures = []
         compactor = threading.Thread(target=scheme.compact, daemon=True)
         compactor.start()

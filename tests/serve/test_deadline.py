@@ -44,7 +44,6 @@ class TestSchedulerShedding:
             source,
             lambda stacked: executed.append(stacked),
             max_batch_size=4,
-            batch_window_seconds=0.0,
             metrics=metrics,
         ).start()
         try:
@@ -72,7 +71,6 @@ class TestSchedulerShedding:
             source,
             lambda stacked: ([_Outcome()], 0.0, None),
             max_batch_size=1,
-            batch_window_seconds=0.0,
         ).start()
 
         class _Query:
@@ -96,7 +94,7 @@ class TestAdmissionDeadline:
     def test_invalid_deadline_rejected(self):
         server, user, database = _build_actors()
         query = user.encrypt_query(database[0] + 0.01, 3)
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             for bad in (0, -5):
                 with pytest.raises(ParameterError, match="deadline_ms"):
                     frontend.submit(query, deadline_ms=bad)
@@ -105,7 +103,7 @@ class TestAdmissionDeadline:
         server, user, database = _build_actors()
         queries = [user.encrypt_query(database[i] + 0.01, 4) for i in range(4)]
         expected = [server.answer(query) for query in queries]
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             got = [
                 frontend.answer(query, timeout=30, deadline_ms=60_000)
                 for query in queries
@@ -118,7 +116,7 @@ class TestAdmissionDeadline:
         refusal is synchronous — the query never occupies a queue slot."""
         server, user, database = _build_actors()
         query = user.encrypt_query(database[0] + 0.01, 3)
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             monkeypatch.setattr(
                 frontend.metrics, "estimated_wait_seconds", lambda: 5.0
             )

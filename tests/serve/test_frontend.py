@@ -51,23 +51,19 @@ class TestServedParity:
         server, user, database = _build_actors(backend=backend)
         queries = [user.encrypt_query(database[i] + 0.01, 5) for i in range(6)]
         expected = [server.answer(query) for query in queries]
-        with server.serving_frontend(
-            max_batch_size=3, batch_window_seconds=0.05
-        ) as frontend:
+        with server.serving_frontend(max_batch_size=3) as frontend:
             futures = [frontend.submit(query) for query in queries]
             served = [future.result(timeout=30) for future in futures]
         for want, got in zip(expected, served):
             assert np.array_equal(want.ids, got.ids)
 
     def test_sharded_scatter_gather_from_scheduler_thread(self):
-        """Shard scatter-gather must run correctly when the batch is
-        dispatched from the scheduler's worker thread (nested fan-out)."""
+        """Shard scatter-gather must run correctly when the batch runs
+        on the scheduler thread (the scatter fans out over the pool)."""
         server, user, database = _build_actors(backend="bruteforce", shards=3)
         queries = [user.encrypt_query(database[i] + 0.01, 5) for i in range(5)]
         expected = [server.answer(query) for query in queries]
-        with server.serving_frontend(
-            max_batch_size=5, batch_window_seconds=0.05
-        ) as frontend:
+        with server.serving_frontend(max_batch_size=5) as frontend:
             served = [
                 future.result(timeout=30)
                 for future in [frontend.submit(query) for query in queries]
@@ -84,9 +80,7 @@ class TestServedParity:
             for i in range(4)
         ]
         expected = [server.answer(query) for query in queries]
-        with server.serving_frontend(
-            max_batch_size=4, batch_window_seconds=0.05
-        ) as frontend:
+        with server.serving_frontend(max_batch_size=4) as frontend:
             served = [
                 future.result(timeout=30)
                 for future in [frontend.submit(query) for query in queries]
@@ -103,9 +97,7 @@ class TestServedParity:
         q_large = [user.encrypt_query(database[i] + 0.01, 7) for i in range(3)]
         interleaved = [q for pair in zip(q_small, q_large) for q in pair]
         expected = [server.answer(query) for query in interleaved]
-        with server.serving_frontend(
-            max_batch_size=6, batch_window_seconds=0.1
-        ) as frontend:
+        with server.serving_frontend(max_batch_size=6) as frontend:
             served = [
                 future.result(timeout=30)
                 for future in [frontend.submit(query) for query in interleaved]
@@ -118,7 +110,7 @@ class TestServedParity:
         server, user, database = _build_actors()
         queries = [user.encrypt_query(database[i] + 0.01, 4) for i in range(5)]
         expected = [server.answer(query) for query in queries]
-        with server.serving_frontend(batch_window_seconds=0.02) as frontend:
+        with server.serving_frontend() as frontend:
             batch = frontend.answer_many(queries)
         assert isinstance(batch, SearchResultBatch)
         assert len(batch) == 5
@@ -175,9 +167,7 @@ class TestServerEngineInstances:
         expected = [server.answer(query) for query in queries]
         direct_calls = engine.calls
         assert direct_calls > 0
-        with server.serving_frontend(
-            max_batch_size=3, batch_window_seconds=0.05
-        ) as frontend:
+        with server.serving_frontend(max_batch_size=3) as frontend:
             served = [
                 future.result(timeout=30)
                 for future in [frontend.submit(query) for query in queries]
@@ -210,7 +200,7 @@ def _poisoned_copy(query):
 
 
 class TestErrorSemantics:
-    """map_ordered/map_settled semantics surfaced at the serving layer:
+    """Per-query settling surfaced at the serving layer:
     a failing query inside a scheduler-formed micro-batch must not
     kill, reorder, or stall its batch siblings, and the queue must keep
     draining afterward."""
@@ -223,11 +213,10 @@ class TestErrorSemantics:
         frontend = ServingFrontend(
             server,
             max_batch_size=5,
-            batch_window_seconds=0.1,
             refine_engine=_MarkedFailureEngine(),
         )
         with frontend:
-            # One micro-batch: good, POISONED, good, good, good.
+            # Back to back: good, POISONED, good, good, good.
             submitted = [
                 frontend.submit(good[0]),
                 frontend.submit(poisoned),
@@ -265,9 +254,7 @@ class TestErrorSemantics:
         good = [user.encrypt_query(database[i] + 0.01, 5) for i in range(2)]
         bad = [stranger.encrypt_query(database[i] + 0.01, 5) for i in range(2)]
         expected = [server.answer(query) for query in good]
-        with server.serving_frontend(
-            max_batch_size=4, batch_window_seconds=0.1
-        ) as frontend:
+        with server.serving_frontend(max_batch_size=4) as frontend:
             futures = [
                 frontend.submit(good[0]),
                 frontend.submit(bad[0]),
@@ -299,9 +286,7 @@ class TestBackpressure:
     def test_queue_full_raises_explicitly(self):
         server, user, database = _build_actors()
         queries = [user.encrypt_query(database[i] + 0.01, 3) for i in range(6)]
-        frontend = ServingFrontend(
-            server, max_batch_size=1, batch_window_seconds=0.0, max_queue_depth=2
-        )
+        frontend = ServingFrontend(server, max_batch_size=1, max_queue_depth=2)
         release = threading.Event()
         inner_execute = frontend._execute
 
@@ -339,14 +324,19 @@ class TestBackpressure:
         with pytest.raises(ParameterError):
             ServingFrontend(server, max_queue_depth=0)
 
+    def test_invalid_batch_cap_rejected_at_construction(self):
+        """A zero cap fails when the frontend is built, not at the first
+        submit that lazily starts the scheduler."""
+        server, _, _ = _build_actors()
+        with pytest.raises(ParameterError, match="max_batch_size"):
+            server.serving_frontend(max_batch_size=0)
+
 
 class TestCacheIntegration:
     def test_repeat_query_hits_cache_without_a_new_batch(self):
         server, user, database = _build_actors()
         query = user.encrypt_query(database[0] + 0.01, 5)
-        with server.serving_frontend(
-            batch_window_seconds=0.0, cache_size=8
-        ) as frontend:
+        with server.serving_frontend(cache_size=8) as frontend:
             first = frontend.answer(query, timeout=30)
             batches_after_first = frontend.metrics.snapshot().batches
             second = frontend.answer(query, timeout=30)
@@ -364,9 +354,7 @@ class TestCacheIntegration:
     def test_cache_clear_forces_recompute(self):
         server, user, database = _build_actors()
         query = user.encrypt_query(database[0] + 0.01, 5)
-        with server.serving_frontend(
-            batch_window_seconds=0.0, cache_size=8
-        ) as frontend:
+        with server.serving_frontend(cache_size=8) as frontend:
             first = frontend.answer(query, timeout=30)
             frontend.cache_clear()
             second = frontend.answer(query, timeout=30)
@@ -378,7 +366,7 @@ class TestCacheIntegration:
     def test_cache_disabled_by_default(self):
         server, user, database = _build_actors()
         query = user.encrypt_query(database[0] + 0.01, 5)
-        with server.serving_frontend(batch_window_seconds=0.0) as frontend:
+        with server.serving_frontend() as frontend:
             frontend.answer(query, timeout=30)
             frontend.answer(query, timeout=30)
             snapshot = frontend.metrics.snapshot()
@@ -391,9 +379,7 @@ class TestCacheIntegration:
         answer must not land in the flushed cache."""
         server, user, database = _build_actors()
         query = user.encrypt_query(database[0] + 0.01, 5)
-        frontend = ServingFrontend(
-            server, batch_window_seconds=0.0, cache_size=8
-        )
+        frontend = ServingFrontend(server, cache_size=8)
         release = threading.Event()
         inner_execute = frontend._execute
 
@@ -422,7 +408,7 @@ class TestCacheIntegration:
             database
         )
         query = scheme.user.encrypt_query(database[9] + 0.001, 5)
-        with scheme.serve(batch_window_seconds=0.0, cache_size=8) as frontend:
+        with scheme.serve(cache_size=8) as frontend:
             first = frontend.answer(query, timeout=30)
             assert 9 in first.ids.tolist()
             scheme.delete(9)  # must flush the frontend's cache
@@ -435,12 +421,10 @@ class TestLifecycle:
     def test_stop_answers_everything_admitted(self):
         server, user, database = _build_actors()
         queries = [user.encrypt_query(database[i] + 0.01, 4) for i in range(8)]
-        frontend = server.serving_frontend(
-            max_batch_size=4, batch_window_seconds=5.0
-        )
+        frontend = server.serving_frontend(max_batch_size=4)
         frontend.start()
         futures = [frontend.submit(query) for query in queries]
-        # Stop immediately: the long window must not stall the drain.
+        # Stop immediately: the drain answers everything still queued.
         start = time.perf_counter()
         frontend.stop()
         assert time.perf_counter() - start < 5.0
@@ -450,7 +434,7 @@ class TestLifecycle:
     def test_restart_after_stop(self):
         server, user, database = _build_actors()
         query = user.encrypt_query(database[0] + 0.01, 4)
-        frontend = server.serving_frontend(batch_window_seconds=0.0)
+        frontend = server.serving_frontend()
         with frontend:
             first = frontend.answer(query, timeout=30)
         # A new submission after stop() lazily restarts the scheduler.
@@ -461,9 +445,7 @@ class TestLifecycle:
     def test_metrics_expose_batching_shape(self):
         server, user, database = _build_actors()
         queries = [user.encrypt_query(database[i] + 0.01, 4) for i in range(6)]
-        with server.serving_frontend(
-            max_batch_size=3, batch_window_seconds=0.2
-        ) as frontend:
+        with server.serving_frontend(max_batch_size=3) as frontend:
             for future in [frontend.submit(query) for query in queries]:
                 future.result(timeout=30)
             snapshot = frontend.metrics.snapshot()
@@ -480,16 +462,28 @@ class TestLifecycle:
         server, user, database = _build_actors()
         queries = [user.encrypt_query(database[i] + 0.01, 4) for i in range(3)]
         expected = [server.answer(query) for query in queries]
-        # Size cap 4 over 3 submissions: the batch waits out the long
-        # window, so the futures stay PENDING (unclaimed) while we
-        # cancel one — the deterministic window for a client cancel.
-        frontend = ServingFrontend(
-            server, max_batch_size=4, batch_window_seconds=0.5
-        )
+        # The scheduler is held inside a first batch, so the three
+        # submissions stay queued — PENDING, unclaimed — while we cancel
+        # one: the deterministic window for a client cancel.
+        frontend = ServingFrontend(server, max_batch_size=4)
+        entered, release = threading.Event(), threading.Event()
+        inner_execute = frontend._execute
+
+        def held_execute(batch):
+            entered.set()
+            release.wait(timeout=30)
+            return inner_execute(batch)
+
+        frontend._execute = held_execute
         try:
             frontend.start()
+            blocker = frontend.submit(queries[0])
+            assert entered.wait(timeout=30)
             futures = [frontend.submit(query) for query in queries]
             assert futures[1].cancel()  # still queued — cancellable
+            release.set()
+            assert np.array_equal(blocker.result(timeout=30).ids,
+                                  expected[0].ids)
             assert np.array_equal(futures[0].result(timeout=30).ids,
                                   expected[0].ids)
             assert np.array_equal(futures[2].result(timeout=30).ids,
@@ -499,6 +493,7 @@ class TestLifecycle:
             again = frontend.submit(queries[1]).result(timeout=30)
             assert np.array_equal(again.ids, expected[1].ids)
         finally:
+            release.set()
             frontend.stop()
 
     def test_submit_racing_stop_is_still_answered(self):
@@ -513,10 +508,7 @@ class TestLifecycle:
         query = user.encrypt_query(database[0] + 0.01, 4)
         source = queue_module.Queue()
         frontend = ServingFrontend(server)
-        scheduler = BatchScheduler(
-            source, frontend._execute, max_batch_size=2,
-            batch_window_seconds=0.01,
-        )
+        scheduler = BatchScheduler(source, frontend._execute, max_batch_size=2)
         # Simulate the race: the sentinel is already in front of a
         # late-admitted query when the thread starts.
         scheduler._stop_requested.set()
@@ -536,7 +528,7 @@ class TestLifecycle:
 
         server, user, database = _build_actors()
         query = user.encrypt_query(database[0] + 0.01, 4)
-        frontend = server.serving_frontend(batch_window_seconds=0.0)
+        frontend = server.serving_frontend()
         assert frontend.answer(query, timeout=30).ids.shape[0] == 4
         scheduler = frontend._scheduler
         assert scheduler.running
@@ -560,7 +552,7 @@ class TestLifecycle:
             database
         )
         query = scheme.user.encrypt_query(database[0] + 0.01, 4)
-        frontend = scheme.serve(batch_window_seconds=0.0)
+        frontend = scheme.serve()
         frontend.answer(query, timeout=30)
         assert len(scheme._frontends) == 1
         del frontend
@@ -574,7 +566,7 @@ class TestLifecycle:
         database = rng.standard_normal((60, 8))
         scheme = PPANNS(dim=8, beta=0.4, backend="bruteforce", rng=rng).fit(database)
         expected = scheme.query(database[3] + 0.01, k=5)
-        with scheme.serve(batch_window_seconds=0.01) as frontend:
+        with scheme.serve() as frontend:
             served = frontend.answer(
                 scheme.user.encrypt_query(database[3] + 0.01, 5), timeout=30
             )

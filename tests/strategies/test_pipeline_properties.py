@@ -137,9 +137,7 @@ def test_served_frontend_matches_seed_reference(data, k, backend, shards, seed):
     server = CloudServer(index)
     queries = np.random.default_rng(seed + 4).standard_normal((4, 8)) * 2.0
     encrypted = [user.encrypt_query(row, k) for row in queries]
-    with server.serving_frontend(
-        max_batch_size=4, batch_window_seconds=0.02
-    ) as frontend:
+    with server.serving_frontend(max_batch_size=4) as frontend:
         served = [frontend.submit(query) for query in encrypted]
         served = [future.result(timeout=30) for future in served]
     k_prime = server.default_ratio_k * k

@@ -410,9 +410,7 @@ class TestServe:
         code = main(["query", *common])
         assert code == 0
         offline = json.loads(capsys.readouterr().out)
-        code = main(
-            ["serve", *common, "--max-batch", "2", "--batch-window", "0.05"]
-        )
+        code = main(["serve", *common, "--max-batch", "2"])
         assert code == 0
         served = json.loads(capsys.readouterr().out)
         assert served["ids"] == offline["ids"]
@@ -500,9 +498,7 @@ class TestNetworkServe:
 
         index = load_index(str(root / "index.npz"))
         server = CloudServer(index)
-        with server.serving_frontend(
-            max_batch_size=32, batch_window_seconds=0.002
-        ) as frontend:
+        with server.serving_frontend(max_batch_size=32) as frontend:
             with NetServer(
                 frontend,
                 [TenantConfig(int(index.dce_database.key_id), token="tok")],
@@ -658,7 +654,7 @@ class TestResilienceFlags:
         root, _, _ = cli_workspace
         index = load_index(str(root / "index.npz"))
         server = CloudServer(index)
-        with server.serving_frontend(batch_window_seconds=0.002) as frontend:
+        with server.serving_frontend() as frontend:
             with NetServer(
                 frontend, [TenantConfig(int(index.dce_database.key_id))]
             ) as net:
