@@ -6,7 +6,8 @@ loop of the seed's per-query beam search; the ``vectorized`` engine
 (``repro.core.filterengine``) hands it to ``backend.search_batch`` — a
 lockstep beam search over the layer-0 CSR snapshot on the graph
 backends (from ``LOCKSTEP_MIN_ROWS`` rows up; the same per-query loop
-below), one norm-cached GEMM on the flat ones — replaying the oracle's
+below), one norm-cached GEMM on brute force and one GEMM per probed
+posting list on IVF — replaying the oracle's
 decisions exactly, so ids and distances are bit-identical.  Single
 queries take the same ``backend.search`` on both engines, so there is
 no per-query grid to measure.

@@ -490,7 +490,8 @@ class IVFBackend:
         ef_search: int | None = None,
         stats_list: "list[SearchStats] | None" = None,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Batched probe-and-rerank (norm-cached GEMV preselect)."""
+        """Batched probe-and-rerank: one GEMM per probed posting list
+        over list-major rows, then a tie-safe top-k' preselect."""
         return self._index.search_batch(
             sap_queries,
             k_prime,

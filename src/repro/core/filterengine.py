@@ -129,9 +129,9 @@ class VectorizedFilterEngine:
 
     Single queries run ``backend.search``, timed.  Micro-batches go to
     ``backend.search_batch`` whenever the backend advertises
-    ``batched_kernel``: brute-force and IVF run one GEMM / norm-cached
-    GEMV per batch (verified against the oracle kernel with a tie-safe
-    fallback), and the graph backends run a lockstep beam search that
+    ``batched_kernel``: brute force runs one GEMM per batch and IVF one
+    GEMM per probed posting list over list-major rows (each verified
+    against the oracle kernel with a tie-safe fallback), and the graph backends run a lockstep beam search that
     fuses each round's distance blocks across the batch
     (:func:`repro.hnsw.graph.lockstep_beam_search`) once the batch
     reaches :data:`repro.hnsw.graph.LOCKSTEP_MIN_ROWS`.  Either way the

@@ -296,8 +296,9 @@ class EncryptedIndex:
         One ``(ids, dists, shard_timings)`` tuple per query, in order —
         the per-query contract of :meth:`filter_search`, but the engine
         may answer the batch with one kernel where the backend supports
-        it (``vectorized`` engine: one GEMM on brute-force / IVF, a
-        lockstep beam search on the graph backends).  Results are
+        it (``vectorized`` engine: one GEMM on brute force, one GEMM per
+        probed posting list on IVF, a lockstep beam search on the graph
+        backends).  Results are
         bit-identical to looping :meth:`filter_search`.
         """
         view = self._view

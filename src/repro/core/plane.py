@@ -211,8 +211,8 @@ def _worker_filter(
     The engine arrives by name and is resolved here, worker-side, so
     the plane serves exactly the registry engine the thread path would
     use.  Backends that advertise a genuinely batched kernel take the
-    whole row block through ``engine.search_batch`` (one GEMM for the
-    brute-force / IVF paths, with the per-backend wall time smeared
+    whole row block through ``engine.search_batch`` (one GEMM for
+    brute force, one per probed posting list for IVF, with the per-backend wall time smeared
     evenly across the rows); everything else loops the engine's
     per-query path with true per-query timing.
     """

@@ -104,8 +104,38 @@ def kmeans(
     return centroid_array, assignments
 
 
+def _list_major(
+    vectors: np.ndarray, ids: np.ndarray, lists: np.ndarray, num_lists: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The list-major layout ``(ids, offsets, rows, norms)``.
+
+    ``ids`` are grouped by posting list (``lists[i]`` holds ``ids[i]``),
+    keeping their given order within each list.  List ``c`` owns
+    ``ids[offsets[c]:offsets[c + 1]]``; the same slice of ``rows`` holds
+    their vectors, copied contiguously, and of ``norms`` their squared
+    norms.
+    """
+    order = np.argsort(lists, kind="stable")
+    ids = ids[order]
+    offsets = np.zeros(num_lists + 1, dtype=np.int64)
+    np.cumsum(np.bincount(lists, minlength=num_lists), out=offsets[1:])
+    rows = vectors[ids]
+    return ids, offsets, rows, np.einsum("ij,ij->i", rows, rows)
+
+
+def _positions(offsets: np.ndarray, lists: np.ndarray) -> np.ndarray:
+    """Layout positions of the rows of ``lists``, list after list."""
+    return np.concatenate([np.arange(offsets[c], offsets[c + 1]) for c in lists])
+
+
 class IVFFlatIndex:
     """Inverted-file index over a fixed vector set.
+
+    The posting lists live in one list-major layout (see
+    :func:`_list_major`), ascending ids within each list.  Mutations
+    build a new layout and swap it in as a single attribute, so a
+    concurrent reader sees either the whole old layout or the whole new
+    one.
 
     Parameters
     ----------
@@ -135,15 +165,10 @@ class IVFFlatIndex:
         self._centroids, assignments = kmeans(
             vectors, self._params.num_lists, self._params.train_iterations, rng
         )
-        self._lists: list[np.ndarray] = [
-            np.nonzero(assignments == cluster)[0]
-            for cluster in range(self._centroids.shape[0])
-        ]
         self._deleted: set[int] = set()
-        # Row-norm cache for the batched rerank path; keyed by array
-        # identity so the vstack in insert() invalidates it naturally.
-        self._norms: np.ndarray | None = None
-        self._norms_for: np.ndarray | None = None
+        self._layout = _list_major(
+            vectors, np.arange(vectors.shape[0]), assignments, self.num_lists
+        )
 
     @classmethod
     def from_state(
@@ -161,15 +186,12 @@ class IVFFlatIndex:
         index._params = params
         index._centroids = np.asarray(centroids, dtype=np.float64)
         index._deleted = set(deleted) if deleted is not None else set()
-        index._norms = None
-        index._norms_for = None
-        live = np.array(
-            [i not in index._deleted for i in range(index._vectors.shape[0])]
+        live = np.ones(index.size, dtype=bool)
+        live[index.deleted_ids()] = False
+        ids = np.flatnonzero(live)
+        index._layout = _list_major(
+            index._vectors, ids, np.asarray(assignments)[ids], index.num_lists
         )
-        index._lists = [
-            np.nonzero((assignments == cluster) & live)[0]
-            for cluster in range(index._centroids.shape[0])
-        ]
         return index
 
     @property
@@ -204,18 +226,28 @@ class IVFFlatIndex:
 
     def list_sizes(self) -> list[int]:
         """Posting-list occupancy (for balance diagnostics)."""
-        return [int(posting.shape[0]) for posting in self._lists]
+        return np.diff(self._layout[1]).tolist()
+
+    def _postings(self) -> tuple[np.ndarray, np.ndarray]:
+        """Live ids in list-major order, and the posting list of each."""
+        ids, offsets, _, _ = self._layout
+        return ids, np.repeat(np.arange(self.num_lists), np.diff(offsets))
 
     def assignments(self) -> np.ndarray:
         """Per-vector posting-list assignment (for persistence).
 
-        Computed as the nearest centroid, which is how both k-means'
-        final pass and :meth:`insert` assign vectors — so it matches
-        posting-list membership for every live vector.
+        A live vector reports the list that holds it, so
+        :meth:`from_state` rebuilds exactly these posting lists.  A
+        tombstoned id, which no list holds, reports its nearest centroid.
         """
-        return np.argmin(
-            pairwise_squared_distances(self._vectors, self._centroids), axis=1
-        ).astype(np.int64)
+        ids, lists = self._postings()
+        dead = self.deleted_ids()
+        out = np.empty(self.size, dtype=np.int64)
+        out[dead] = np.argmin(
+            pairwise_squared_distances(self._vectors[dead], self._centroids), axis=1
+        )
+        out[ids] = lists
+        return out
 
     def is_deleted(self, node: int) -> bool:
         """Whether ``node`` has been tombstoned."""
@@ -231,9 +263,15 @@ class IVFFlatIndex:
         if vector.ndim != 1 or vector.shape[0] != self.dim:
             raise DimensionMismatchError(self.dim, vector.shape[-1])
         new_id = self.size
-        self._vectors = np.vstack([self._vectors, vector])
         nearest = int(np.argmin(squared_distances_to_many(vector, self._centroids)))
-        self._lists[nearest] = np.append(self._lists[nearest], new_id)
+        ids, lists = self._postings()
+        self._vectors = np.vstack([self._vectors, vector])
+        self._layout = _list_major(
+            self._vectors,
+            np.append(ids, new_id),
+            np.append(lists, nearest),
+            self.num_lists,
+        )
         return new_id
 
     def mark_deleted(self, node: int) -> None:
@@ -241,10 +279,20 @@ class IVFFlatIndex:
         if not 0 <= node < self.size:
             raise IndexError(f"node {node} out of range")
         self._deleted.add(node)
-        for cluster, posting in enumerate(self._lists):
-            if np.any(posting == node):
-                self._lists[cluster] = posting[posting != node]
-                break
+        ids, lists = self._postings()
+        keep = ids != node
+        self._layout = _list_major(
+            self._vectors, ids[keep], lists[keep], self.num_lists
+        )
+
+    def _probe_order(
+        self, query: np.ndarray, nprobe: int, stats: SearchStats | None
+    ) -> np.ndarray:
+        """The ``nprobe`` lists nearest to ``query``, nearest first."""
+        centroid_dists = squared_distances_to_many(query, self._centroids)
+        if stats is not None:
+            stats.distance_computations += self.num_lists
+        return np.argsort(centroid_dists, kind="stable")[: min(nprobe, self.num_lists)]
 
     def search(
         self,
@@ -265,26 +313,17 @@ class IVFFlatIndex:
         query = np.asarray(query, dtype=np.float64)
         if query.ndim != 1 or query.shape[0] != self.dim:
             raise DimensionMismatchError(self.dim, query.shape[-1], what="query")
-        centroid_dists = squared_distances_to_many(query, self._centroids)
-        if stats is not None:
-            stats.distance_computations += self.num_lists
-        probe_order = np.argsort(centroid_dists, kind="stable")[: min(nprobe, self.num_lists)]
-        candidates = np.concatenate([self._lists[int(c)] for c in probe_order])
-        if candidates.shape[0] == 0:
+        ids, offsets, rows, _ = self._layout
+        probe_order = self._probe_order(query, nprobe, stats)
+        positions = _positions(offsets, probe_order)
+        if positions.shape[0] == 0:
             return np.empty(0, dtype=np.int64), np.empty(0)
-        dists = squared_distances_to_many(query, self._vectors[candidates])
+        dists = squared_distances_to_many(query, rows[positions])
         if stats is not None:
-            stats.distance_computations += candidates.shape[0]
+            stats.distance_computations += positions.shape[0]
             stats.hops += len(probe_order)
         order = np.argsort(dists, kind="stable")[:k]
-        return candidates[order].astype(np.int64), dists[order]
-
-    def _row_norms(self) -> np.ndarray:
-        vectors = self._vectors
-        if self._norms_for is not vectors:
-            self._norms = np.einsum("ij,ij->i", vectors, vectors)
-            self._norms_for = vectors
-        return self._norms
+        return ids[positions[order]], dists[order]
 
     def search_batch(
         self,
@@ -295,12 +334,14 @@ class IVFFlatIndex:
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Batched probe-and-rerank, bit-identical to looping :meth:`search`.
 
-        Centroid distances stay on the per-query kernel (so probe order
-        is identical); the per-candidate rerank uses a norm-cached
-        gather-GEMV to *preselect* the top ``k`` and recomputes their
-        distances with the oracle's kernel, falling back to the full
-        exact rerank whenever the selection is not provably identical
-        (see :func:`repro.hnsw.distance.gemm_topk_preselect`).
+        Probe order comes from the per-query centroid kernel, as in
+        :meth:`search`.  Each probed list then runs one GEMM: the queries
+        that probe it against its contiguous rows, with cached norms.  A
+        query's segments, concatenated in probe order, *preselect* its
+        top ``k``, whose distances are recomputed with the oracle's
+        kernel; the full exact rerank takes over whenever the selection
+        is not provably identical (see
+        :func:`repro.hnsw.distance.gemm_topk_preselect`).
         """
         if k <= 0:
             raise ParameterError(f"k must be positive, got {k}")
@@ -309,41 +350,50 @@ class IVFFlatIndex:
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != self.dim:
             raise DimensionMismatchError(self.dim, queries.shape[-1], what="queries")
-        norms = self._row_norms()
-        out: list[tuple[np.ndarray, np.ndarray]] = []
-        for row in range(queries.shape[0]):
-            query = queries[row]
-            stats = stats_list[row] if stats_list is not None else None
-            centroid_dists = squared_distances_to_many(query, self._centroids)
-            if stats is not None:
-                stats.distance_computations += self.num_lists
-            probe_order = np.argsort(centroid_dists, kind="stable")[
-                : min(nprobe, self.num_lists)
+        ids, offsets, rows, norms = self._layout
+        stats_list = stats_list if stats_list is not None else [None] * len(queries)
+        probes = np.array(
+            [
+                self._probe_order(query, nprobe, stats)
+                for query, stats in zip(queries, stats_list)
             ]
-            candidates = np.concatenate([self._lists[int(c)] for c in probe_order])
-            if candidates.shape[0] == 0:
+        )
+        query_norms = np.einsum("ij,ij->i", queries, queries)
+        # Row r of ``approx`` is filled only on the lists query r probes.
+        approx = np.empty((queries.shape[0], ids.shape[0]))
+        for c in np.unique(probes):
+            who = np.flatnonzero((probes == c).any(axis=1))
+            lo, hi = offsets[c], offsets[c + 1]
+            approx[who, lo:hi] = np.maximum(
+                norms[lo:hi]
+                - 2.0 * (queries[who] @ rows[lo:hi].T)
+                + query_norms[who, None],
+                0.0,
+            )
+
+        out: list[tuple[np.ndarray, np.ndarray]] = []
+        for row, (query, probe_order, stats) in enumerate(
+            zip(queries, probes, stats_list)
+        ):
+            positions = _positions(offsets, probe_order)
+            if positions.shape[0] == 0:
                 out.append((np.empty(0, dtype=np.int64), np.empty(0)))
                 continue
-            block = self._vectors[candidates]
-            approx = np.maximum(
-                norms[candidates] - 2.0 * (block @ query) + float(query @ query), 0.0
-            )
-            kk = min(k, candidates.shape[0])
+            kk = min(k, positions.shape[0])
             selected = gemm_topk_preselect(
-                approx,
+                approx[row, positions],
                 kk,
-                lambda cand, q=query, b=block: squared_distances_to_many(q, b[cand]),
+                lambda cand: squared_distances_to_many(query, rows[positions[cand]]),
                 candidate_cap=4 * kk + 64,
             )
             if selected is None:
-                dists = squared_distances_to_many(query, block)
+                dists = squared_distances_to_many(query, rows[positions])
                 order = np.argsort(dists, kind="stable")[:k]
-                ids, top = candidates[order].astype(np.int64), dists[order]
+                chosen, top = positions[order], dists[order]
             else:
-                ids = candidates[selected[0]].astype(np.int64)
-                top = selected[1]
+                chosen, top = positions[selected[0]], selected[1]
             if stats is not None:
-                stats.distance_computations += candidates.shape[0]
+                stats.distance_computations += positions.shape[0]
                 stats.hops += len(probe_order)
-            out.append((ids, top))
+            out.append((ids[chosen], top))
         return out

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.errors import DimensionMismatchError, ParameterError
 from repro.hnsw.bruteforce import exact_knn
+from repro.hnsw import ivf
 from repro.hnsw.graph import SearchStats
 from repro.hnsw.ivf import IVFFlatIndex, IVFParams, kmeans
 
@@ -99,6 +100,140 @@ class TestIVFIndex:
             IVFParams(num_lists=0)
         with pytest.raises(ParameterError):
             IVFParams(train_iterations=0)
+
+
+def _reload(index):
+    """A ``state_arrays`` -> ``from_state`` round trip of ``index``."""
+    return IVFFlatIndex.from_state(
+        index.vectors,
+        index.params,
+        index.centroids,
+        index.assignments(),
+        deleted=set(index.deleted_ids().tolist()),
+    )
+
+
+def _assert_batch_matches_loop(index, queries, k, nprobe):
+    """``search_batch`` equals looping ``search``: ids, dists, counters."""
+    batch_stats = [SearchStats() for _ in queries]
+    loop_stats = [SearchStats() for _ in queries]
+    batched = index.search_batch(queries, k, nprobe=nprobe, stats_list=batch_stats)
+    assert len(batched) == len(queries)
+    for query, (ids, dists), stats in zip(queries, batched, loop_stats):
+        want_ids, want_dists = index.search(query, k, nprobe=nprobe, stats=stats)
+        assert ids.dtype == want_ids.dtype == np.int64
+        assert np.array_equal(ids, want_ids)
+        assert np.array_equal(dists, want_dists)
+    assert [(s.distance_computations, s.hops) for s in batch_stats] == [
+        (s.distance_computations, s.hops) for s in loop_stats
+    ]
+
+
+@pytest.fixture(scope="module")
+def workload_shape():
+    """The saturation workload's per-index shape: d=100, n=5000, 16 lists."""
+    rng = np.random.default_rng(20)
+    centers = rng.standard_normal((24, 100)) * 3
+    vectors = centers[rng.integers(0, 24, size=5000)] + rng.standard_normal((5000, 100))
+    index = IVFFlatIndex(vectors, IVFParams(num_lists=16), rng=np.random.default_rng(21))
+    queries = vectors[rng.integers(0, 5000, size=32)] + 0.1 * rng.standard_normal((32, 100))
+    return index, queries
+
+
+class TestListMajorBatch:
+    @pytest.mark.parametrize("rows", [1, 16, 32])
+    def test_batch_matches_loop_at_workload_shape(self, workload_shape, rows):
+        index, queries = workload_shape
+        _assert_batch_matches_loop(index, queries[:rows], 80, nprobe=4)
+
+    def test_duplicate_rows_take_the_tie_fallback(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        vectors = np.repeat(rng.standard_normal((60, 8)), 5, axis=0)
+        index = IVFFlatIndex(vectors, IVFParams(num_lists=4), rng=rng)
+        verdicts = []
+        preselect = ivf.gemm_topk_preselect
+
+        def recording(*args, **kwargs):
+            verdicts.append(preselect(*args, **kwargs))
+            return verdicts[-1]
+
+        monkeypatch.setattr(ivf, "gemm_topk_preselect", recording)
+        _assert_batch_matches_loop(index, vectors[::37] + 1e-3, 12, nprobe=2)
+        assert any(verdict is None for verdict in verdicts)
+
+    def test_empty_posting_list(self, built):
+        _, vectors = built
+        index = IVFFlatIndex(vectors, IVFParams(num_lists=8), rng=np.random.default_rng(1))
+        for node in np.flatnonzero(index.assignments() == 0).tolist():
+            index.mark_deleted(node)
+        assert index.list_sizes()[0] == 0
+        nearest_to_empty = index.centroids[0][None, :] + np.zeros((3, 10))
+        _assert_batch_matches_loop(index, nearest_to_empty, 5, nprobe=1)
+        _assert_batch_matches_loop(index, nearest_to_empty, 5, nprobe=3)
+
+    def test_probe_every_list_and_k_beyond_the_candidates(self):
+        rng = np.random.default_rng(23)
+        vectors = rng.standard_normal((50, 6))
+        index = IVFFlatIndex(vectors, IVFParams(num_lists=8), rng=rng)
+        queries = rng.standard_normal((5, 6))
+        _assert_batch_matches_loop(index, queries, 80, nprobe=20)
+        _assert_batch_matches_loop(index, queries, 80, nprobe=1)
+        (ids, _), = index.search_batch(queries[:1], 80, nprobe=20)
+        assert sorted(ids.tolist()) == list(range(50))
+
+    def test_mutations_between_batches_rebuild_the_layout(self, built):
+        _, vectors = built
+        index = IVFFlatIndex(vectors, IVFParams(num_lists=8), rng=np.random.default_rng(1))
+        rng = np.random.default_rng(24)
+        queries = vectors[rng.integers(0, 400, size=6)] + 0.01
+        _assert_batch_matches_loop(index, queries, 10, nprobe=2)
+        new_id = index.insert(queries[0])
+        for node in (3, 17, 250):
+            index.mark_deleted(node)
+        assert sum(index.list_sizes()) == 400 + 1 - 3
+        (ids, dists), = index.search_batch(queries[:1], 10, nprobe=2)
+        assert ids[0] == new_id and dists[0] == 0.0
+        found = np.concatenate(
+            [ids for ids, _ in index.search_batch(vectors[[3, 17, 250]], 10, nprobe=8)]
+        )
+        assert not set(found.tolist()) & {3, 17, 250}
+        _assert_batch_matches_loop(index, queries, 10, nprobe=2)
+
+    def test_batch_after_persistence_round_trip(self, workload_shape):
+        index, queries = workload_shape
+        reloaded = _reload(index)
+        assert reloaded.list_sizes() == index.list_sizes()
+        _assert_batch_matches_loop(reloaded, queries[:16], 80, nprobe=4)
+        for (ids, dists), query in zip(reloaded.search_batch(queries[:16], 80), queries):
+            want_ids, want_dists = index.search(query, 80)
+            assert np.array_equal(ids, want_ids) and np.array_equal(dists, want_dists)
+
+
+class TestPersistedPostingLists:
+    def test_inserts_on_list_boundaries_keep_their_lists_across_reload(self):
+        # Vectors inserted at centroid midpoints sit where two kernels
+        # (the diff form insert assigns with, and the GEMM expansion)
+        # can pick different nearest centroids; a reload must still
+        # rebuild the posting lists the inserts produced.
+        rng = np.random.default_rng(0)
+        index = IVFFlatIndex(
+            rng.standard_normal((2000, 100)) * 2,
+            IVFParams(num_lists=16),
+            rng=np.random.default_rng(1),
+        )
+        centroids = index.centroids
+        for a, b in rng.integers(0, 16, size=(300, 2)):
+            if a != b:
+                index.insert((centroids[a] + centroids[b]) / 2)
+        index.mark_deleted(5)
+        reloaded = _reload(index)
+        assert reloaded.list_sizes() == index.list_sizes()
+        assert np.array_equal(reloaded.assignments(), index.assignments())
+        for query in rng.standard_normal((50, 100)) * 2:
+            ids, dists = index.search(query, 10, nprobe=1)
+            reloaded_ids, reloaded_dists = reloaded.search(query, 10, nprobe=1)
+            assert np.array_equal(ids, reloaded_ids)
+            assert np.array_equal(dists, reloaded_dists)
 
 
 class TestIVFAsFilterBackend:
