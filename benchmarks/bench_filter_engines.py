@@ -125,7 +125,7 @@ def test_filter_engine_grid():
             {
                 "repeats": REPEATS,
                 "lockstep_min_rows": LOCKSTEP_MIN_ROWS,
-                **bench_environment(executor="threads"),
+                **bench_environment(),
                 "batched": configs,
             },
             indent=2,

@@ -185,7 +185,7 @@ def test_socket_parity_and_quota_isolation():
                 "n": N,
                 "dim": DIM,
                 "k": K,
-                **bench_environment(executor="threads"),
+                **bench_environment(),
                 "parity": parity,
                 "quota": {
                     "flood_quota": FLOOD_QUOTA,

@@ -184,7 +184,7 @@ def test_persistence_grid():
                 "dim": DIM,
                 "k": K,
                 "ratio_k": RATIO_K,
-                **bench_environment(executor="threads"),
+                **bench_environment(),
                 "persistence": persistence,
                 "serving_under_compaction": serving,
             },

@@ -155,7 +155,7 @@ def test_refine_engine_grid():
             {
                 "queries": N_QUERIES,
                 "repeats": REPEATS,
-                **bench_environment(executor="threads"),
+                **bench_environment(),
                 "configs": configs,
             },
             indent=2,

@@ -2,8 +2,8 @@
 
 Every ``BENCH_*.json`` writer stamps its payload with
 :func:`bench_environment` so a recorded number can never be read out of
-context: the host's ``cpu_count``, which ``executor`` mode produced the
-figure, and — crucially — an explicit ``graded`` flag.  ``graded:
+context: the host's ``cpu_count``, whether it ran on CI, and —
+crucially — an explicit ``graded`` flag.  ``graded:
 false`` says the run happened somewhere the bench's real speedup bar
 was *not* applied (a CI runner or a core-starved container, where a
 parallelism win physically cannot express itself) and only a sanity
@@ -33,16 +33,14 @@ def is_graded(min_cores: int = 4) -> bool:
     return (os.cpu_count() or 1) >= min_cores
 
 
-def bench_environment(executor: str = "threads", min_cores: int = 4) -> dict:
+def bench_environment(min_cores: int = 4) -> dict:
     """The honesty fields every ``BENCH_*.json`` payload must carry.
 
-    ``executor`` names the execution mode that produced the figures
-    (``"threads"`` / ``"processes"``); ``graded`` records whether the
-    run's perf assertion used the real bar (see :func:`is_graded`).
+    ``graded`` records whether the run's perf assertion used the real
+    bar (see :func:`is_graded`).
     """
     return {
         "cpu_count": os.cpu_count(),
         "ci": bool(os.environ.get("CI")),
-        "executor": executor,
         "graded": is_graded(min_cores),
     }

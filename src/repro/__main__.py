@@ -1,9 +1,4 @@
-"""``python -m repro`` dispatches to the CLI.
-
-The ``__name__`` guard is load-bearing: the process data plane's spawn
-workers re-import this module (as ``__mp_main__``) while bootstrapping,
-and must not re-run the command they were spawned to serve.
-"""
+"""``python -m repro`` dispatches to the CLI."""
 
 import sys
 

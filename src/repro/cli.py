@@ -68,7 +68,6 @@ import numpy as np
 from repro.core.backends import available_backends
 from repro.core.errors import ParameterError
 from repro.core.build import BUILD_MODES
-from repro.core.executor import EXECUTOR_MODES
 from repro.core.journal import IndexJournal
 from repro.core.maintenance import compact_index
 from repro.core.persistence import load_index, load_keys, save_index, save_keys
@@ -154,24 +153,6 @@ def _parse_hostport(spec: str) -> "tuple[str, int]":
         return host, int(port)
     except ValueError:
         raise SystemExit(f"invalid port in address {spec!r}") from None
-
-
-def _add_executor_args(command: argparse.ArgumentParser) -> None:
-    """The ``--executor`` / ``--workers`` pair shared by serving commands."""
-    command.add_argument(
-        "--executor",
-        choices=EXECUTOR_MODES,
-        default=None,
-        help="batch execution mode: 'threads' (default) or 'processes' "
-        "(shared-memory data plane; bit-identical answers)",
-    )
-    command.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker-process count for --executor processes "
-        "(default: the executor pool width; REPRO_WORKERS overrides)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,21 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit a JSON report (ids, timings, byte accounting)",
     )
-    query.add_argument(
-        "--deadline-ms",
-        type=int,
-        default=None,
-        help="overall latency budget; retry attempts stop with "
-        "DeadlineExceededError once it is spent",
-    )
-    query.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="re-attempt transient data-plane failures this many times "
-        "(capped-exponential backoff between attempts)",
-    )
-    _add_executor_args(query)
     query.add_argument("--seed", type=int, default=None)
 
     demo = commands.add_parser("demo", help="end-to-end demo on synthetic data")
@@ -434,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="client retry budget for transient refusals "
         "(--connect mode only)",
     )
-    _add_executor_args(serve)
     serve.add_argument("--seed", type=int, default=None)
 
     workload = commands.add_parser(
@@ -521,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_FRAME_TIMEOUT,
         help="per-frame read deadline in seconds (slow-loris budget)",
     )
-    _add_executor_args(listen)
     return parser
 
 
@@ -587,7 +551,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             "--refine-engine has no effect with --filter-only "
             "(the refine phase is skipped entirely)"
         )
-    _validate_resilience_args(args)
     index = load_index(args.index)
     keys = load_keys(args.keys)
     user = QueryUser(keys, rng=np.random.default_rng(args.seed))
@@ -595,8 +558,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         index,
         refine_engine=args.refine_engine,
         filter_engine=args.filter_engine,
-        executor=args.executor,
-        workers=args.workers,
     )
     queries = _load_vectors(args.queries)
 
@@ -609,15 +570,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
         mode="filter_only" if args.filter_only else "full",
     )
     encrypt_seconds = time.perf_counter() - encrypt_start
-    try:
-        results = _answer_with_retries(server, batch, args)
-    finally:
-        server.close()
+    results = server.answer(batch)
 
     if args.json:
         payload = {
             "backend": index.backend_kind,
-            "executor": server.executor,
             "shards": getattr(index, "num_shards", 1),
             "k": args.k,
             "mode": batch.request.mode,
@@ -653,36 +610,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     for i, result in enumerate(results):
         print(f"query {i}: {' '.join(str(x) for x in result.ids.tolist())}")
     return 0
-
-
-def _answer_with_retries(server, batch, args: argparse.Namespace):
-    """``server.answer`` under the ``query`` command's retry policy.
-
-    Only :class:`~repro.core.plane.DataPlaneError` is transient here —
-    the self-healing plane respawns a dead worker, so a short backoff
-    and a re-run can genuinely succeed.  ``--deadline-ms`` bounds the
-    whole attempt sequence.
-    """
-    from repro.core.plane import DataPlaneError
-    from repro.serve.frontend import DeadlineExceededError
-
-    start = time.perf_counter()
-    attempt = 0
-    while True:
-        try:
-            return server.answer(batch)
-        except DataPlaneError:
-            if attempt >= args.retries:
-                raise
-            if args.deadline_ms is not None:
-                spent_ms = (time.perf_counter() - start) * 1000.0
-                if spent_ms >= args.deadline_ms:
-                    raise DeadlineExceededError(
-                        f"latency budget of {args.deadline_ms}ms spent "
-                        f"after {attempt + 1} attempt(s)"
-                    ) from None
-            time.sleep(min(1.0, 0.1 * (2.0 ** attempt)))
-            attempt += 1
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -864,8 +791,6 @@ def _serve_local(args: argparse.Namespace, encrypted, key_id: int, index):
         index,
         refine_engine=args.refine_engine,
         filter_engine=args.filter_engine,
-        executor=args.executor,
-        workers=args.workers,
     )
     queue_depth = (
         args.queue_depth
@@ -880,18 +805,14 @@ def _serve_local(args: argparse.Namespace, encrypted, key_id: int, index):
     # The same admission path the network server uses, so the reported
     # tenancy view is the real thing, not a reconstruction.
     admission = TenantAdmission(frontend, TenantRegistry([TenantConfig(key_id)]))
-    try:
-        with frontend:
-            channel = admission.channel(key_id)
-            results, elapsed = replay_open_loop(
-                channel, encrypted, args.rate, args.seed,
-                deadline_ms=args.deadline_ms,
-            )
-            tenancy = admission.stats()
-            tenancy["frontend"] = frontend.metrics.snapshot().as_dict()
-            tenancy["frontend"]["executor"] = server.executor
-    finally:
-        server.close()
+    with frontend:
+        channel = admission.channel(key_id)
+        results, elapsed = replay_open_loop(
+            channel, encrypted, args.rate, args.seed,
+            deadline_ms=args.deadline_ms,
+        )
+        tenancy = admission.stats()
+        tenancy["frontend"] = frontend.metrics.snapshot().as_dict()
     return results, elapsed, tenancy
 
 
@@ -968,8 +889,6 @@ def _cmd_listen(args: argparse.Namespace) -> int:
         index,
         refine_engine=args.refine_engine,
         filter_engine=args.filter_engine,
-        executor=args.executor,
-        workers=args.workers,
     )
     tenants = [_parse_tenant_spec(spec) for spec in args.tenant] or [
         TenantConfig(int(index.dce_database.key_id))
@@ -979,7 +898,7 @@ def _cmd_listen(args: argparse.Namespace) -> int:
         max_queue_depth=args.queue_depth,
         cache_size=args.cache_size,
     )
-    with server, frontend:
+    with frontend:
         net = NetServer(
             frontend,
             tenants,
@@ -992,7 +911,7 @@ def _cmd_listen(args: argparse.Namespace) -> int:
         host, port = net.address
         print(
             f"listening on {host}:{port} "
-            f"(backend={index.backend_kind}, executor={server.executor}, "
+            f"(backend={index.backend_kind}, "
             f"tenants={net.registry.key_ids()}); Ctrl-C to stop",
             flush=True,
         )

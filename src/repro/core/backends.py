@@ -189,14 +189,6 @@ class HNSWBackend:
             sap_queries, k_prime, ef_search=ef_search, stats_list=stats_list
         )
 
-    def search_mode_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The layer-0 CSR ``(indptr, indices)`` pair (shm publishing)."""
-        return self._graph.search_mode_arrays()
-
-    def adopt_search_mode(self, indptr: np.ndarray, indices: np.ndarray) -> None:
-        """Install an externally provided CSR pair (zero-copy attach)."""
-        self._graph.adopt_search_mode(indptr, indices)
-
     def insert(self, sap_row: np.ndarray, level: int | None = None) -> int:
         """Insert one DCPE ciphertext row; returns the assigned id.
 
@@ -261,17 +253,8 @@ class HNSWBackend:
         cls,
         sap_vectors: np.ndarray,
         data: Mapping[str, np.ndarray],
-        copy: bool = True,
     ) -> "HNSWBackend":
-        """Rebuild the backend from its persisted state arrays.
-
-        ``copy=False`` aliases the caller's ``sap_vectors`` buffer
-        instead of copying it — the zero-copy attach path of the
-        process data plane (:mod:`repro.core.plane`), whose workers
-        read the vectors out of shared memory.  Safe because search
-        never writes the buffer and an insert reallocates it rather
-        than growing in place.
-        """
+        """Rebuild the backend from its persisted state arrays."""
         # v1 files carried the vectors under graph_vectors; v2 dedups them
         # into the sap_vectors array the caller already loaded.
         vectors = data["graph_vectors"] if "graph_vectors" in data else sap_vectors
@@ -284,7 +267,7 @@ class HNSWBackend:
         # Reconstruct internal state directly; going through insert() would
         # re-run construction and change the edges.
         count = vectors.shape[0]
-        graph._buffer = vectors.copy() if copy else vectors
+        graph._buffer = vectors.copy()
         graph._nodes = [
             _Node(
                 level=int(levels[i]),
@@ -362,14 +345,6 @@ class NSGBackend:
         return self._index.search_batch(
             sap_queries, k_prime, ef_search=ef_search, stats_list=stats_list
         )
-
-    def search_mode_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The layer-0 CSR ``(indptr, indices)`` pair (shm publishing)."""
-        return self._index.search_mode_arrays()
-
-    def adopt_search_mode(self, indptr: np.ndarray, indices: np.ndarray) -> None:
-        """Install an externally provided CSR pair (zero-copy attach)."""
-        self._index.adopt_search_mode(indptr, indices)
 
     def insert(self, sap_row: np.ndarray) -> int:
         """Insert one DCPE ciphertext row; returns the assigned id."""
@@ -687,22 +662,12 @@ def backend_from_state(
     kind: str,
     sap_vectors: np.ndarray,
     data: Mapping[str, np.ndarray],
-    copy: bool = True,
 ) -> FilterBackend:
-    """Rebuild a persisted backend of ``kind`` from its state arrays.
-
-    ``copy=False`` requests the zero-copy vector attach: the rebuilt
-    backend aliases ``sap_vectors`` instead of duplicating it.  Only
-    the HNSW backend copies in the first place — the other substrates
-    already store vectors by reference — so the flag is forwarded
-    where it matters and a no-op elsewhere.
-    """
+    """Rebuild a persisted backend of ``kind`` from its state arrays."""
     try:
         backend_cls = BACKENDS[kind]
     except KeyError:
         raise ParameterError(
             f"unknown backend {kind!r}; available: {', '.join(BACKENDS)}"
         ) from None
-    if backend_cls is HNSWBackend:
-        return backend_cls.from_state(sap_vectors, data, copy=copy)
     return backend_cls.from_state(sap_vectors, data)

@@ -19,9 +19,7 @@
 
 from __future__ import annotations
 
-import threading
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +29,6 @@ from repro.core.build import BUILD_MODES, BuildReport
 from repro.core.dcpe import DCPEScheme, dcpe_keygen, DEFAULT_SCALE
 from repro.core.dce import DCEScheme, DCETrapdoor
 from repro.core.errors import ParameterError
-from repro.core.executor import resolve_executor
 from repro.core.filterengine import FilterEngine, get_filter_engine
 from repro.core.index import EncryptedIndex
 from repro.core.keys import DCEKey, DCPEKey
@@ -383,20 +380,6 @@ class CloudServer:
         engines are bit-identical — the knob trades the seed's
         per-query beam search against the batched kernels.  Per-call
         overrides on :meth:`answer` take precedence.
-    executor:
-        Batch execution mode (one of
-        :data:`repro.core.executor.EXECUTOR_MODES`): ``"threads"``
-        (default — the calling thread, with the shared thread pool for
-        the shard scatter) or ``"processes"`` — the
-        shared-memory data plane of :mod:`repro.core.plane`, built
-        lazily on the first batch and rebuilt automatically after
-        maintenance.  Bit-identical answers either way; when the
-        platform can't run the process plane the server degrades to
-        threads with a one-time :class:`RuntimeWarning`.
-    workers:
-        Worker-process count for ``executor="processes"`` (``None`` =
-        :func:`repro.core.executor.pool_width`, which honors
-        ``REPRO_WORKERS``).  Ignored under threads.
     """
 
     def __init__(
@@ -405,22 +388,13 @@ class CloudServer:
         default_ratio_k: int = 8,
         refine_engine: "str | RefineEngine | None" = None,
         filter_engine: "str | FilterEngine | None" = None,
-        executor: "str | None" = None,
-        workers: "int | None" = None,
     ) -> None:
         if default_ratio_k < 1:
             raise ParameterError(f"ratio_k must be >= 1, got {default_ratio_k}")
-        if workers is not None and workers < 1:
-            raise ParameterError(f"workers must be >= 1, got {workers}")
         self._index = index
         self._default_ratio_k = default_ratio_k
         self._refine_engine = get_refine_engine(refine_engine)
         self._filter_engine = get_filter_engine(filter_engine)
-        self._executor = resolve_executor(executor)
-        self._workers = workers
-        self._plane = None
-        self._plane_lock = threading.Lock()
-        self._plane_warned = False
 
     @property
     def index(self) -> "EncryptedIndex | ShardedEncryptedIndex":
@@ -442,72 +416,13 @@ class CloudServer:
         """Name of the server's default filter engine."""
         return self._filter_engine.name
 
-    @property
-    def executor(self) -> str:
-        """The server's configured execution mode."""
-        return self._executor
-
-    @property
-    def workers(self) -> "int | None":
-        """Configured process-plane worker count (None = pool width)."""
-        return self._workers
-
-    def data_plane(self):
-        """The live process data plane, or ``None`` under threads.
-
-        Built lazily on first use and rebuilt whenever the cached plane
-        stopped matching the index (maintenance bumps the fingerprint).
-        Worker crashes do *not* force a rebuild: the plane respawns dead
-        workers in place (see :meth:`ProcessDataPlane.health`).  When
-        the platform can't run the plane at all, warns once and
-        permanently degrades to threads.
-        """
-        if self._executor != "processes":
-            return None
-        # Double-checked: concurrent first callers (a serving scheduler
-        # plus a direct answer(), say) must not each spawn a plane —
-        # the loser's workers and shared memory would leak unclosed.
-        plane = self._plane
-        if plane is not None and plane.matches(self._index):
-            return plane
-        from repro.core.plane import DataPlaneError, ProcessDataPlane
-
-        with self._plane_lock:
-            if self._executor != "processes":
-                return None
-            plane = self._plane
-            if plane is not None and plane.matches(self._index):
-                return plane
-            if plane is not None:
-                plane.close()
-                self._plane = None
-            try:
-                self._plane = ProcessDataPlane(
-                    self._index, workers=self._workers
-                )
-            except DataPlaneError as exc:
-                if not self._plane_warned:
-                    self._plane_warned = True
-                    warnings.warn(
-                        f"process data plane unavailable ({exc}); "
-                        "degrading to thread execution",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                self._executor = "threads"
-                return None
-            return self._plane
-
-    def invalidate_data_plane(self) -> None:
-        """Tear down the cached plane (maintenance / index swap hook)."""
-        with self._plane_lock:
-            if self._plane is not None:
-                self._plane.close()
-                self._plane = None
-
     def close(self) -> None:
-        """Release server-held process-plane resources (idempotent)."""
-        self.invalidate_data_plane()
+        """Release server-held resources (idempotent).
+
+        The server holds none, so this is a no-op: a closed server still
+        answers.  It stays so that callers can manage a server with
+        ``with`` and close it unconditionally.
+        """
 
     def __enter__(self) -> "CloudServer":
         return self
@@ -539,7 +454,6 @@ class CloudServer:
         """
         from repro.core.maintenance import compact_index
 
-        self.invalidate_data_plane()
         return compact_index(self._index, rng=rng)
 
     def serving_frontend(
@@ -613,7 +527,6 @@ class CloudServer:
                 ef_search=ef_search,
                 refine_engine=engine,
                 filter_engine=fengine,
-                data_plane=self.data_plane(),
             )
         request = query.request.resolve(
             self._default_ratio_for(query.request.mode),

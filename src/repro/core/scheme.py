@@ -22,7 +22,6 @@ import weakref
 import numpy as np
 
 from repro.core.errors import ParameterError
-from repro.core.executor import resolve_executor
 from repro.core.maintenance import compact_index, delete_vector, insert_vector
 from repro.core.protocol import SearchResult, SearchResultBatch
 from repro.core.roles import CloudServer, DataOwner, QueryUser
@@ -71,16 +70,6 @@ class PPANNS:
         per-query beam search — or ``"vectorized"`` — the batched
         kernels, bit-identical; ``None`` selects the
         default — see :mod:`repro.core.filterengine`).
-    executor:
-        Server-side batch execution mode: ``"threads"`` (default) or
-        ``"processes"`` — the shared-memory data plane
-        (:mod:`repro.core.plane`); answers are bit-identical either
-        way.  The scheme is a context manager; ``close()`` (or the
-        ``with`` exit) releases the plane's worker processes and
-        shared-memory arena.
-    workers:
-        Process-plane worker count (``None`` = the executor pool
-        width).
     rng:
         Randomness for every component.
     """
@@ -99,8 +88,6 @@ class PPANNS:
         default_ratio_k: int = 8,
         refine_engine: str | None = None,
         filter_engine: str | None = None,
-        executor: str | None = None,
-        workers: int | None = None,
         rng: np.random.Generator | None = None,
     ) -> None:
         rng = rng if rng is not None else np.random.default_rng()
@@ -121,8 +108,6 @@ class PPANNS:
         self._default_ratio_k = default_ratio_k
         self._refine_engine = refine_engine
         self._filter_engine = filter_engine
-        self._executor = resolve_executor(executor)
-        self._workers = workers
         # Frontends created through serve(); held weakly so an
         # abandoned frontend doesn't outlive its callers, and flushed
         # on maintenance (cached results go stale on mutation).
@@ -161,27 +146,20 @@ class PPANNS:
         Re-fitting replaces the server's index; a journal enabled for
         the previous index is detached (it describes state this index
         never had) — call :meth:`enable_journal` again to track the new
-        one — and any process data plane attached to the old server is
-        released.
+        one.
         """
-        if self._server is not None:
-            self._server.close()
         index = self._owner.build_index(vectors)
         self._server = CloudServer(
             index,
             default_ratio_k=self._default_ratio_k,
             refine_engine=self._refine_engine,
             filter_engine=self._filter_engine,
-            executor=self._executor,
-            workers=self._workers,
         )
         self._journal = None
         return self
 
     def close(self) -> None:
-        """Release server-held resources — the process data plane's
-        worker fleet and shared-memory arena (idempotent; a no-op for
-        the thread executor and before :meth:`fit`)."""
+        """Close the server (idempotent; a no-op before :meth:`fit`)."""
         if self._server is not None:
             self._server.close()
 
@@ -314,10 +292,6 @@ class PPANNS:
         for frontend in list(self._frontends):
             if frontend.server is self._server:
                 frontend.cache_clear()
-        # The process data plane serves an immutable snapshot; any
-        # mutation makes it stale, so release it eagerly (the next
-        # batch rebuilds from the mutated index).
-        self._server.invalidate_data_plane()
 
     def insert(self, vector: np.ndarray) -> int:
         """Insert one vector (owner encrypts, server links); returns its id.

@@ -45,7 +45,7 @@ calling thread**.  The graph walks and refine scans hold the GIL, so a
 thread per query made them slower, not faster: on a 2-core host, traced
 refine time on the ``batch_bruteforce_inproc`` benchmark fell from 399
 to 294 µs/query once the fan-out went.  Parallelism comes from the
-batched filter kernels, the shard scatter and the process data plane.
+batched filter kernels and the shard scatter.
 Results come back in query order and a failing query neither kills nor
 reorders its siblings (the first failure by query position is re-raised
 after every query ran).  :func:`execute_batch_settled` is the no-raise
@@ -77,11 +77,7 @@ import numpy as np
 from repro.core.dce import DCETrapdoor
 from repro.core.errors import KeyMismatchError, ParameterError
 from repro.core.executor import Settled
-from repro.core.filterengine import (
-    FILTER_ENGINES,
-    FilterEngine,
-    get_filter_engine,
-)
+from repro.core.filterengine import FilterEngine, get_filter_engine
 from repro.core.index import EncryptedIndex
 from repro.core.protocol import (
     EncryptedQuery,
@@ -91,12 +87,7 @@ from repro.core.protocol import (
     SearchResultBatch,
     resolve_ef_search,
 )
-from repro.core.refine import (
-    REFINE_ENGINES,
-    RefineEngine,
-    RefineOutcome,
-    get_refine_engine,
-)
+from repro.core.refine import RefineEngine, RefineOutcome, get_refine_engine
 from repro.core.sharding import ShardedEncryptedIndex
 from repro.hnsw.graph import SearchStats
 
@@ -375,7 +366,6 @@ def execute_batch_settled(
     mode: str | None = None,
     refine_engine: "str | RefineEngine | None" = None,
     filter_engine: "str | FilterEngine | None" = None,
-    data_plane=None,
 ) -> tuple[list[Settled[SearchResult]], float, SearchRequest]:
     """The settled form of :func:`execute_batch` (the serving primitive).
 
@@ -392,14 +382,6 @@ def execute_batch_settled(
     still raises directly — those failures poison every query in the
     batch equally.
 
-    ``data_plane`` routes the batch through a
-    :class:`~repro.core.plane.ProcessDataPlane` instead of the calling
-    thread (``None`` = threads).  The plane path runs the same staged
-    semantics — worker-side filter, parent-side mask, worker-side refine
-    — and is bit-identical to the thread path; a worker crash settles
-    exactly the affected queries with
-    :class:`~repro.core.plane.DataPlaneError`.
-
     Returns ``(settled, wall_seconds, request)`` where ``wall_seconds``
     is the per-query loop's start-to-finish wall clock and ``request`` the
     batch's fully resolved :class:`SearchRequest` (so callers never
@@ -408,10 +390,7 @@ def execute_batch_settled(
     ``filter_engine`` selects the filter-stage engine (bit-identical
     results on every engine).  On the ``vectorized`` engine, backends
     that advertise a batched kernel (brute-force, IVF) filter the whole
-    batch in one GEMM pre-pass before the per-query loop.  Custom
-    filter-engine *instances* (not registry singletons) are not
-    picklable by name, so such batches run on the thread path even when
-    a data plane is supplied.
+    batch in one GEMM pre-pass before the per-query loop.
     """
     engine = get_refine_engine(refine_engine)
     fengine = get_filter_engine(filter_engine)
@@ -419,26 +398,6 @@ def execute_batch_settled(
     k_prime = request.k_prime
     live_mask = index.live_mask()
     key_id = batch.key_id
-
-    if (
-        data_plane is not None
-        and len(batch)
-        and not data_plane.closed
-        and FILTER_ENGINES.get(fengine.name) is fengine
-    ):
-        fanout_start = time.perf_counter()
-        settled = _settled_via_plane(
-            index,
-            batch,
-            request,
-            k_prime,
-            live_mask,
-            engine,
-            fengine,
-            key_id,
-            data_plane,
-        )
-        return settled, time.perf_counter() - fanout_start, request
 
     prefiltered = None
     if (
@@ -489,126 +448,6 @@ def execute_batch_settled(
     return settled, time.perf_counter() - loop_start, request
 
 
-def _settled_via_plane(
-    index: "EncryptedIndex | ShardedEncryptedIndex",
-    batch: EncryptedQueryBatch,
-    request: SearchRequest,
-    k_prime: int,
-    live_mask: np.ndarray,
-    engine: RefineEngine,
-    fengine: FilterEngine,
-    key_id,
-    plane,
-) -> list[Settled[SearchResult]]:
-    """Run a resolved batch on the process data plane; settle each query.
-
-    The staged semantics are the thread pipeline's, relocated: the
-    filter phase runs in the workers over the shared-memory ciphertexts
-    (with shard-merge or stripe routing inside the plane), the
-    tombstone mask runs here in the parent against the batch's liveness
-    snapshot, and the refine phase ships back to the workers when the
-    engine is one of the registry singletons (picklable by name) —
-    custom engine *instances* refine locally instead, so user-supplied
-    engines keep working under ``executor=processes``.  Field-for-field
-    the assembled :class:`SearchResult` matches ``stage_respond``.
-    """
-    count = len(batch)
-    ef_search = resolve_ef_search(request.ef_search, k_prime)
-    filtered = plane.filter_batch(
-        batch.sap_vectors, k_prime, ef_search, engine=fengine.name
-    )
-
-    settled: "list[Settled[SearchResult] | None]" = [None] * count
-    masked: "list[tuple[int, np.ndarray, tuple | None, SearchStats, float, float]]"
-    masked = []
-    for query_index, outcome in enumerate(filtered):
-        if isinstance(outcome, Exception):
-            settled[query_index] = Settled(error=outcome)
-            continue
-        candidate_ids, _dists, shard_timings, stats, filter_seconds = outcome
-        mask_start = time.perf_counter()
-        if candidate_ids.shape[0]:
-            candidate_ids = candidate_ids[live_mask[candidate_ids]]
-        mask_seconds = time.perf_counter() - mask_start
-        masked.append(
-            (
-                query_index,
-                candidate_ids,
-                shard_timings,
-                stats,
-                filter_seconds,
-                mask_seconds,
-            )
-        )
-
-    if request.mode == "filter_only":
-        for query_index, ids, timings, stats, filter_s, mask_s in masked:
-            settled[query_index] = Settled(
-                value=SearchResult(
-                    ids=ids[: request.k],
-                    filter_stats=stats,
-                    refine_comparisons=0,
-                    k_prime=k_prime,
-                    filter_seconds=filter_s,
-                    mask_seconds=mask_s,
-                    filter_engine=fengine.name,
-                    filter_kernel_seconds=stats.kernel_seconds,
-                    request=request,
-                    shard_timings=timings,
-                )
-            )
-        return settled
-
-    remote_engine = REFINE_ENGINES.get(engine.name) is engine
-    if remote_engine:
-        items = [
-            (batch.trapdoor_vectors[query_index], ids, request.k)
-            for query_index, ids, *_ in masked
-        ]
-        refined = plane.refine_batch(items, engine.name, key_id)
-    else:
-        refined = []
-        for query_index, ids, *_ in masked:
-            try:
-                start = time.perf_counter()
-                outcome = engine.refine(
-                    index.dce_database,
-                    DCETrapdoor(batch.trapdoor_vectors[query_index], key_id),
-                    ids,
-                    request.k,
-                )
-                refined.append((outcome, time.perf_counter() - start))
-            except Exception as exc:
-                refined.append(exc)
-
-    for slot, (query_index, _ids, timings, stats, filter_s, mask_s) in enumerate(
-        masked
-    ):
-        refine_outcome = refined[slot]
-        if isinstance(refine_outcome, Exception):
-            settled[query_index] = Settled(error=refine_outcome)
-            continue
-        outcome, refine_seconds = refine_outcome
-        settled[query_index] = Settled(
-            value=SearchResult(
-                ids=outcome.ids,
-                filter_stats=stats,
-                refine_comparisons=outcome.comparisons,
-                k_prime=k_prime,
-                filter_seconds=filter_s,
-                mask_seconds=mask_s,
-                refine_seconds=refine_seconds,
-                refine_engine=engine.name,
-                refine_kernel_seconds=outcome.kernel_seconds,
-                filter_engine=fengine.name,
-                filter_kernel_seconds=stats.kernel_seconds,
-                request=request,
-                shard_timings=timings,
-            )
-        )
-    return settled
-
-
 def execute_batch(
     index: "EncryptedIndex | ShardedEncryptedIndex",
     batch: EncryptedQueryBatch,
@@ -618,7 +457,6 @@ def execute_batch(
     mode: str | None = None,
     refine_engine: "str | RefineEngine | None" = None,
     filter_engine: "str | FilterEngine | None" = None,
-    data_plane=None,
 ) -> SearchResultBatch:
     """Answer a whole encrypted batch through one pipelined, amortized pass.
 
@@ -636,8 +474,6 @@ def execute_batch(
     ``filter_engine`` does the same for the filter stage
     (:data:`repro.core.filterengine.DEFAULT_FILTER_ENGINE`), including
     the batched GEMM pre-pass on backends that support it.
-    ``data_plane`` routes the batch through a process data plane exactly
-    as in :func:`execute_batch_settled`.
 
     The returned batch records the per-query loop's start-to-finish
     wall clock in ``wall_seconds``.
@@ -651,7 +487,6 @@ def execute_batch(
         mode=mode,
         refine_engine=refine_engine,
         filter_engine=filter_engine,
-        data_plane=data_plane,
     )
     results = [outcome.unwrap() for outcome in settled]
     return SearchResultBatch(results, request=request, wall_seconds=wall_seconds)

@@ -201,9 +201,7 @@ class _SearchMode:
     (searches on a shared index run concurrently under the thread
     executor): marking a node visited writes the current epoch into an
     int32 matrix, and "clearing" it for the next batch is a single epoch
-    bump instead of an O(rows * n) refill.  The arrays may be read-only
-    shared-memory views (the process data plane publishes them alongside
-    ``C_SAP``); search only ever reads them.
+    bump instead of an O(rows * n) refill.
     """
 
     __slots__ = ("version", "indptr", "indices", "_scratch")
@@ -723,23 +721,6 @@ class HNSWIndex:
         )
         self._search_mode = mode
         return mode
-
-    def adopt_search_mode(self, indptr: np.ndarray, indices: np.ndarray) -> None:
-        """Install a precompiled layer-0 ``(indptr, indices)`` CSR pair.
-
-        The process data plane publishes the parent's compiled snapshot
-        through shared memory and each worker adopts the zero-copy views
-        here instead of recompiling from the list-of-lists adjacency.
-        The snapshot is pinned to the *current* adjacency version, so a
-        later mutation invalidates it exactly like a locally compiled
-        one.
-        """
-        self._search_mode = _SearchMode(self._adjacency_version, indptr, indices)
-
-    def search_mode_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The compiled snapshot's ``(indptr, indices)`` (for shm publishing)."""
-        mode = self.search_mode()
-        return mode.indptr, mode.indices
 
     # -- search ----------------------------------------------------------------
 

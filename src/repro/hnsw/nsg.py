@@ -304,15 +304,6 @@ class NSGIndex:
         self._search_mode = mode
         return mode
 
-    def adopt_search_mode(self, indptr: np.ndarray, indices: np.ndarray) -> None:
-        """Install a precompiled CSR pair (the shm zero-copy attach)."""
-        self._search_mode = _SearchMode(self._adjacency_version, indptr, indices)
-
-    def search_mode_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The compiled snapshot's ``(indptr, indices)`` (for shm publishing)."""
-        mode = self.search_mode()
-        return mode.indptr, mode.indices
-
     def mark_deleted(self, node: int) -> None:
         """Tombstone ``node``: it keeps routing but never appears in results."""
         if not 0 <= node < self.size:

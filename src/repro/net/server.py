@@ -49,6 +49,7 @@ import queue
 import socket
 import socketserver
 import threading
+import time
 
 from repro.core.errors import KeyMismatchError, ParameterError
 from repro.net import codec
@@ -70,6 +71,18 @@ __all__ = ["NetServer", "DEFAULT_FRAME_TIMEOUT", "ConnectionLimitError"]
 
 #: Default per-frame read deadline in seconds (the slow-loris budget).
 DEFAULT_FRAME_TIMEOUT = 30.0
+
+#: Bound on how long :meth:`NetServer.close` waits for its accept thread
+#: and, all together, for the handlers of the connections it ended.
+CLOSE_JOIN_SECONDS = 5.0
+
+
+def _shutdown_socket(sock: socket.socket) -> None:
+    """End both directions of ``sock``; the handler's reads return EOF."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already closed by its handler or by the peer
 
 
 class ConnectionLimitError(QueueFullError):
@@ -256,6 +269,7 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
         self.request.settimeout(self.server.owner.frame_timeout)
         self._outbox: "queue.Queue" = queue.Queue()
         self._channel = None
+        self.server.owner._track(self.request)
         self._admitted = self.server.owner._acquire_connection()
         self._writer = threading.Thread(
             target=self._writer_loop, name="repro-net-writer", daemon=True
@@ -293,6 +307,7 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
         self._writer.join(timeout=DEFAULT_FRAME_TIMEOUT)
         if self._admitted:
             self.server.owner._release_connection()
+        self.server.owner._untrack(self.request)
 
 
 class _ThreadingTCPServer(socketserver.ThreadingTCPServer):
@@ -363,6 +378,9 @@ class NetServer:
         self.closing = False
         self._connection_lock = threading.Lock()
         self._connections = 0
+        # Live handler sockets, each with the thread serving it, so that
+        # close() can end established connections too.
+        self._handlers: "dict[socket.socket, threading.Thread]" = {}
         self._tcp = _ThreadingTCPServer(self, (host, port))
         self._thread: threading.Thread | None = None
 
@@ -381,6 +399,18 @@ class NetServer:
     def _release_connection(self) -> None:
         with self._connection_lock:
             self._connections = max(0, self._connections - 1)
+
+    def _track(self, sock: socket.socket) -> None:
+        """Register a handler's socket; one accepted during close() ends now."""
+        with self._connection_lock:
+            if not self.closing:
+                self._handlers[sock] = threading.current_thread()
+                return
+        _shutdown_socket(sock)
+
+    def _untrack(self, sock: socket.socket) -> None:
+        with self._connection_lock:
+            self._handlers.pop(sock, None)
 
     @property
     def connections(self) -> int:
@@ -433,14 +463,27 @@ class NetServer:
             self.close()
 
     def close(self) -> None:
-        """Stop accepting and release the listening socket (idempotent)."""
-        if self.closing:
-            return
-        self.closing = True
+        """Stop accepting, end every live connection, release the socket.
+
+        Each established connection's socket is shut down in both
+        directions, so its peer sees the disconnect at once instead of
+        after the idle ``frame_timeout``, and its handler thread is
+        joined within :data:`CLOSE_JOIN_SECONDS`.  Idempotent.
+        """
+        with self._connection_lock:
+            if self.closing:
+                return
+            self.closing = True
+            handlers = list(self._handlers.items())
         self._tcp.shutdown()
         self._tcp.server_close()
         if self._thread is not None and self._thread.is_alive():
-            self._thread.join(timeout=5.0)
+            self._thread.join(timeout=CLOSE_JOIN_SECONDS)
+        for sock, _ in handlers:
+            _shutdown_socket(sock)
+        deadline = time.monotonic() + CLOSE_JOIN_SECONDS
+        for _, thread in handlers:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
     def __enter__(self) -> "NetServer":
         return self.start()

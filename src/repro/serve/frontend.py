@@ -351,9 +351,7 @@ class ServingFrontend:
 
         Without a frontend override, the server's resolved engine
         *instances* run the batch (its public properties are names, and
-        an unregistered instance has no name to resolve).  When the
-        wrapped server runs ``executor="processes"`` its data plane
-        carries the batch.
+        an unregistered instance has no name to resolve).
         """
         server = self._server
         return execute_batch_settled(
@@ -370,7 +368,6 @@ class ServingFrontend:
                 if self._filter_engine is not None
                 else server._filter_engine
             ),
-            data_plane=server.data_plane(),
         )
 
     def _cache_result(self, pending: PendingQuery, result: SearchResult) -> None:

@@ -28,8 +28,7 @@ interpreter-bound graph walks and scans that hold the GIL, so running a
 batch's queries side by side on threads made them slower, not faster
 (traced refine time on ``batch_bruteforce_inproc``, 2-core host: 399 →
 294 µs/query once serial).  Parallelism
-comes from the batched kernels, the shard scatter and the process data
-plane (``executor="processes"``).
+comes from the batched kernels and the shard scatter.
 
 Error delivery is strictly per-query: each pending query settles into
 its own future, a poisoned query neither kills nor reorders nor stalls

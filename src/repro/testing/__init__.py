@@ -10,7 +10,6 @@ from repro.testing.faults import (
     FaultyExecute,
     FaultySocket,
     InjectedFault,
-    arm_plane_worker_kill,
 )
 
 __all__ = [
@@ -18,5 +17,4 @@ __all__ = [
     "FaultyExecute",
     "FaultySocket",
     "InjectedFault",
-    "arm_plane_worker_kill",
 ]

@@ -13,9 +13,6 @@ the same language:
   the connection at the Nth sent frame, for wire-level chaos.
 * :class:`FaultyExecute` — wraps a scheduler execute hook so the Nth
   dispatched batch raises :class:`InjectedFault`.
-* :func:`arm_plane_worker_kill` — kills a
-  :class:`~repro.core.plane.ProcessDataPlane` worker right before the
-  Nth filter batch, for self-healing tests.
 
 The filesystem-side ``FaultyOps`` (``tests/persistence/faultfs.py``)
 builds on the same trigger; :class:`InjectedFault` is the one exception
@@ -33,7 +30,6 @@ __all__ = [
     "CallTrigger",
     "FaultySocket",
     "FaultyExecute",
-    "arm_plane_worker_kill",
 ]
 
 
@@ -148,22 +144,3 @@ class FaultyExecute:
         if self.trigger.observe():
             raise self._exc_factory()
         return self._execute(*args, **kwargs)
-
-
-def arm_plane_worker_kill(plane, worker_index: int, trigger: CallTrigger):
-    """Kill ``worker_index`` right before the Nth filter batch.
-
-    Shadows ``plane.filter_batch`` on the instance; the kill happens
-    *before* the batch runs, so the batch itself observes the death —
-    the scenario the self-healing path must survive.  Returns ``plane``
-    for chaining.
-    """
-    original = plane.filter_batch
-
-    def filter_batch(*args, **kwargs):
-        if trigger.observe():
-            plane.kill_worker(worker_index)
-        return original(*args, **kwargs)
-
-    plane.filter_batch = filter_batch
-    return plane

@@ -7,12 +7,10 @@ import pytest
 
 from repro.core.errors import ParameterError
 from repro.core.executor import (
-    EXECUTOR_MODES,
     Settled,
     in_worker_thread,
     map_ordered,
     pool_width,
-    resolve_executor,
     shared_pool,
 )
 
@@ -169,17 +167,3 @@ class TestPoolWidthOverride:
         assert pool_width() >= 1
         monkeypatch.delenv("REPRO_WORKERS")
         assert pool_width() >= 1
-
-
-class TestExecutorModes:
-    def test_modes_registry(self):
-        assert EXECUTOR_MODES == ("threads", "processes")
-
-    def test_resolve_default_and_passthrough(self):
-        assert resolve_executor(None) == "threads"
-        for mode in EXECUTOR_MODES:
-            assert resolve_executor(mode) == mode
-
-    def test_resolve_rejects_unknown(self):
-        with pytest.raises(ParameterError, match="unknown executor"):
-            resolve_executor("fibers")

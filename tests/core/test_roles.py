@@ -1,10 +1,15 @@
 """System-model tests: owner / user / server interplay (Figure 1)."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
+from repro.core.backends import available_backends
 from repro.core.errors import ParameterError
 from repro.core.roles import CloudServer, DataOwner, QueryUser
+from repro.core.scheme import PPANNS
 from tests.conftest import FAST_HNSW
 
 
@@ -134,6 +139,58 @@ class TestCloudServer:
             server.answer(batch, refine_engine="heap")
         # Without the override the filter-only batch answers normally.
         assert len(server.answer(batch)) == 2
+
+
+def _shm_entries() -> set:
+    """Names under ``/dev/shm`` (empty where the host has none)."""
+    try:
+        return set(os.listdir("/dev/shm"))
+    except OSError:
+        return set()
+
+
+class TestClose:
+    @pytest.mark.parametrize("holder", ["server", "scheme"])
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_close_is_harmless(self, backend, holder):
+        """answer -> close() -> answer: the same answers, nothing spawned.
+
+        The benchmark harness re-answers through a closed server for its
+        oracle, so ``close()`` must leave the server answering exactly
+        as before and must start or leave behind no process and no
+        shared-memory segment.
+        """
+        rng = np.random.default_rng(3)
+        vectors = rng.standard_normal((60, 8)) * 2.0
+        shm_before = _shm_entries()
+        if holder == "server":
+            owner = DataOwner(
+                8, beta=0.3, hnsw_params=FAST_HNSW, backend=backend, rng=rng
+            )
+            closeable = server = CloudServer(owner.build_index(vectors))
+            user = QueryUser(owner.authorize_user(), rng=rng)
+        else:
+            closeable = PPANNS(
+                8, beta=0.3, hnsw_params=FAST_HNSW, backend=backend, rng=rng
+            ).fit(vectors)
+            server, user = closeable.server, closeable.user
+        batch = user.encrypt_queries(vectors[:4] + 0.01, 5)
+        before = server.answer(batch)
+        closeable.close()
+        closeable.close()  # idempotent
+        after = server.answer(batch)
+        for old, new in zip(before, after):
+            # A full answer carries ids but no distances (the refine
+            # phase only compares); the counters pin the same search.
+            assert np.array_equal(old.ids, new.ids)
+            assert (
+                old.filter_stats.distance_computations
+                == new.filter_stats.distance_computations
+            )
+            assert old.filter_stats.hops == new.filter_stats.hops
+            assert old.refine_comparisons == new.refine_comparisons
+        assert multiprocessing.active_children() == []
+        assert _shm_entries() - shm_before == set()
 
 
 class TestTrustBoundary:

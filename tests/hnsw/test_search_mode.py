@@ -4,8 +4,7 @@ Covers the filter-engine substrate at the graph layer:
 
 * ``search_mode`` compiles lazily per adjacency generation — only when a
   batch is large enough to run in lockstep — and any mutation
-  invalidates it; ``adopt_search_mode`` installs a published snapshot
-  zero-copy and it answers identically to a locally compiled one.
+  invalidates it.
 * ``search_batch`` replays ``search`` exactly on both sides of the
   ``LOCKSTEP_MIN_ROWS`` crossover.
 * ``in_neighbors`` / ``remove_edges_to`` are served from an
@@ -189,32 +188,6 @@ class TestSearchMode:
         assert index._search_mode is None
         index.search_batch(queries, 3)
         assert index._search_mode is not None
-
-    def test_adopted_snapshot_answers_identically(self):
-        def build():
-            rng = np.random.default_rng(6)
-            index = HNSWIndex(6, HNSWParams(m=4, ef_construction=40), rng=rng)
-            index.build(np.random.default_rng(7).standard_normal((80, 6)))
-            return index
-
-        index, twin = build(), build()
-        twin.adopt_search_mode(*index.search_mode_arrays())
-        # Zero-copy: the twin serves the publisher's arrays themselves.
-        assert twin.search_mode().indptr is index.search_mode().indptr
-        assert twin.search_mode().indices is index.search_mode().indices
-        queries = np.random.default_rng(8).standard_normal((LOCKSTEP_MIN_ROWS, 6))
-        stats_a = [SearchStats() for _ in queries]
-        stats_b = [SearchStats() for _ in queries]
-        answers_a = index.search_batch(queries, 5, stats_list=stats_a)
-        answers_b = twin.search_batch(queries, 5, stats_list=stats_b)
-        for row in range(len(queries)):
-            assert np.array_equal(answers_a[row][0], answers_b[row][0])
-            assert np.array_equal(answers_a[row][1], answers_b[row][1])
-            assert (
-                stats_a[row].distance_computations
-                == stats_b[row].distance_computations
-            )
-            assert stats_a[row].hops == stats_b[row].hops
 
     @pytest.mark.parametrize("rows", _ROW_COUNTS)
     @pytest.mark.parametrize("with_tombstones", [False, True])

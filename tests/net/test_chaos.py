@@ -22,12 +22,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.plane import process_plane_available
 from repro.core.roles import CloudServer, DataOwner, QueryUser
-from repro.net import NetClient, NetServer, RemoteError, TenantConfig
+from repro.net import NetClient, NetServer, TenantConfig
 from repro.net import codec
 from repro.net.codec import MessageType
-from repro.testing import CallTrigger, arm_plane_worker_kill
 from tests.conftest import FAST_HNSW
 
 _TIMEOUT = 30
@@ -219,66 +217,3 @@ class TestMidStreamDisconnect:
                     results = client.answer_batch(batch, timeout=_TIMEOUT)
                     assert len(results) == 4
                 _assert_still_serving(net, server, user, database, key_id)
-
-
-@pytest.mark.skipif(
-    not process_plane_available(),
-    reason="process data plane unavailable on this host",
-)
-class TestWorkerDeathOverTcp:
-    """The full resilience stack at once: TCP serving over the process
-    data plane, with a worker killed right before a batch.
-
-    The contract: the faulted batch fails *typed* within the call
-    timeout (never a hang), the connection and scheduler survive, and
-    the plane respawns the worker in place — the same client gets
-    bit-identical answers again within the restart backoff."""
-
-    def test_worker_killed_mid_batch_fails_typed_then_heals(self):
-        rng = np.random.default_rng(63)
-        owner = DataOwner(
-            8, beta=0.3, hnsw_params=FAST_HNSW, backend="bruteforce", rng=rng
-        )
-        database = rng.standard_normal((80, 8)) * 2.0
-        index = owner.build_index(database)
-        user = QueryUser(owner.authorize_user(), rng=np.random.default_rng(64))
-        key_id = int(index.dce_database.key_id)
-        query = user.encrypt_query(database[0] + 0.01, 4)
-        expected = CloudServer(index).answer(query)
-        with CloudServer(index, executor="processes", workers=1) as server:
-            with server.serving_frontend() as frontend:
-                with NetServer(frontend, [TenantConfig(key_id)]) as net:
-                    host, port = net.address
-                    with NetClient(host, port, key_id) as client:
-                        # Healthy first: the plane is up and correct.
-                        got = client.answer(query, timeout=_TIMEOUT)
-                        assert np.array_equal(got.ids, expected.ids)
-                        plane = server.data_plane()
-                        # Kill the only worker right before the next
-                        # filter batch: its restart backoff (100 ms)
-                        # cannot have elapsed, so this batch must fail
-                        # typed — all workers down, nothing to run on.
-                        arm_plane_worker_kill(plane, 0, CallTrigger(1))
-                        with pytest.raises(
-                            RemoteError, match="down|died|unreachable"
-                        ):
-                            client.answer(query, timeout=_TIMEOUT)
-                        # The connection survived the typed failure and
-                        # the plane heals in place: keep asking until
-                        # the respawned worker answers, bit-identical.
-                        deadline = time.monotonic() + _TIMEOUT
-                        while True:
-                            try:
-                                got = client.answer(query, timeout=_TIMEOUT)
-                                break
-                            except RemoteError:
-                                assert time.monotonic() < deadline, (
-                                    "plane never self-healed"
-                                )
-                                time.sleep(0.05)
-                        assert np.array_equal(got.ids, expected.ids)
-                        health = plane.health()
-                        assert health["workers"][0]["restarts"] >= 1
-                        assert not health["workers"][0]["dead"]
-                        assert not plane.broken
-                    _assert_still_serving(net, server, user, database, key_id)

@@ -9,6 +9,9 @@ tenancy view must be reachable through the ``stats`` message.
 
 from __future__ import annotations
 
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -154,6 +157,44 @@ class TestWireErrors:
         client.close()
         with pytest.raises(ConnectionClosedError):
             client.submit(user.encrypt_query(database[0] + 0.01, 3))
+
+
+class TestClose:
+    @pytest.mark.parametrize("clients", [1, 8])
+    def test_close_ends_live_connections_within_a_second(self, actors, clients):
+        """``close()`` disconnects every established client at once, not
+        after the idle frame timeout, and joins their handlers (the
+        accept slots are released before ``close()`` returns).  Eight
+        clients on a short switch interval race handler registration
+        against ``close()`` on more threads than cores."""
+        server, user, database, key_id = actors
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with server.serving_frontend() as frontend:
+                net = NetServer(
+                    frontend, [TenantConfig(key_id)], frame_timeout=_TIMEOUT
+                ).start()
+                host, port = net.address
+                connected = [NetClient(host, port, key_id) for _ in range(clients)]
+                try:
+                    query = user.encrypt_query(database[0] + 0.01, 4)
+                    for client in connected:
+                        client.answer(query, timeout=_TIMEOUT)
+                    assert net.connections == clients
+                    start = time.monotonic()
+                    net.close()
+                    assert net.connections == 0
+                    while any(client._sock is not None for client in connected):
+                        assert time.monotonic() - start < 1.0, (
+                            "a client never saw the server close"
+                        )
+                        time.sleep(0.01)
+                finally:
+                    for client in connected:
+                        client.close()
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestQuotaOverTheWire:

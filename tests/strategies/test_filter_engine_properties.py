@@ -9,9 +9,11 @@ distances, the same ``distance_computations`` and ``hops``.  The
 batched entry point (``filter_search_batch``: one GEMM per micro-batch
 on the brute-force / IVF backends, a lockstep beam search on the graph
 backends from ``LOCKSTEP_MIN_ROWS`` rows up and the per-query loop
-below) must match the per-query answers element-wise, and the process
-data plane must agree with the thread path for both engines.  Batch
-sizes are drawn from both sides of that crossover.
+below) must match the per-query answers element-wise, and so must the
+full pipeline (:func:`~repro.core.search.execute_batch`) on either
+engine.  Batch sizes are drawn from both sides of that crossover.
+Through :class:`~repro.core.roles.CloudServer`, a micro-batch and the
+same queries answered one at a time agree on either engine.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from repro.core.filterengine import (
     get_filter_engine,
 )
 from repro.core.maintenance import delete_vector, insert_vector
-from repro.core.plane import process_plane_available
 from repro.core.roles import CloudServer, DataOwner, QueryUser
+from repro.core.search import execute_batch
 from repro.hnsw.graph import LOCKSTEP_MIN_ROWS, SearchStats
 
 from tests.strategies import backend_kinds, seeds
@@ -98,10 +100,11 @@ def test_vectorized_bit_identical_to_heap(
 ):
     """Same ids, dists, distance computations and hops — any index state."""
     owner, index = _build_index(scenario)
-    queries = np.random.default_rng(query_seed).standard_normal((rows, _DIM)) * 2.0
-    sap_queries = np.stack(
-        [owner.dcpe_scheme.encrypt(query) for query in queries]
-    )
+    rng = np.random.default_rng(query_seed)
+    queries = rng.standard_normal((rows, _DIM)) * 2.0
+    user = QueryUser(owner.authorize_user(), rng=rng)
+    batch = user.encrypt_queries(queries, 1, ratio_k=k_prime, ef_search=ef_search)
+    sap_queries = batch.sap_vectors
     heap_answers = []
     for row in range(sap_queries.shape[0]):
         heap_stats, vec_stats = SearchStats(), SearchStats()
@@ -140,21 +143,38 @@ def test_vectorized_bit_identical_to_heap(
             assert stats.distance_computations == heap_stats.distance_computations
             assert stats.hops == heap_stats.hops
 
+    # The full pipeline (k' = k_prime, then refine to k = 1) runs the
+    # same filter on either engine, so the refine sees the same
+    # candidates and makes the same comparisons.
+    answers = {
+        engine: execute_batch(index, batch, filter_engine=engine)
+        for engine in available_filter_engines()
+    }
+    for results in answers.values():
+        for result, (_, _, heap_stats) in zip(results, heap_answers):
+            assert result.k_prime == k_prime
+            assert (
+                result.filter_stats.distance_computations
+                == heap_stats.distance_computations
+            )
+            assert result.filter_stats.hops == heap_stats.hops
+    for heap_result, vec_result in zip(answers["heap"], answers["vectorized"]):
+        assert np.array_equal(heap_result.ids, vec_result.ids)
+        assert heap_result.refine_comparisons == vec_result.refine_comparisons
+        assert vec_result.filter_engine == "vectorized"
 
-needs_plane = pytest.mark.skipif(
-    not process_plane_available(),
-    reason="process data plane unavailable on this platform",
-)
 
-
-@needs_plane
 @pytest.mark.parametrize("rows", [6, 4 * LOCKSTEP_MIN_ROWS])
 @pytest.mark.parametrize("backend", ["hnsw", "bruteforce"])
 def test_both_executors_bit_identical_per_engine(backend, rows):
-    """threads == processes for each engine (graph lockstep and GEMM paths).
+    """Micro-batch == one query at a time, for each engine, via the server.
 
-    Two workers stripe the batch, so 6 rows put each worker below the
-    lockstep crossover and ``4 * LOCKSTEP_MIN_ROWS`` put each above it.
+    The executor runs an ``EncryptedQueryBatch`` through the batched
+    kernels (lockstep beam search on graphs from ``LOCKSTEP_MIN_ROWS``
+    rows up, one GEMM on brute force) and a lone ``EncryptedQuery``
+    through the per-query search.  Both, on both engines, must give the
+    heap engine's one-at-a-time answers: same ids, distance
+    computations, hops and refine comparisons.
     """
     rng = np.random.default_rng(11)
     owner = DataOwner(_DIM, beta=1.0, backend=backend, rng=rng)
@@ -164,24 +184,29 @@ def test_both_executors_bit_identical_per_engine(backend, rows):
         rng.standard_normal((rows, _DIM)) * 2.0, 4, ef_search=32
     )
     outcomes = {}
-    for executor in ("threads", "processes"):
-        with CloudServer(index, executor=executor, workers=2) as server:
-            for engine in available_filter_engines():
-                results = server.answer(batch, filter_engine=engine)
-                outcomes[(executor, engine)] = [
+    with CloudServer(index) as server:
+        for engine in available_filter_engines():
+            runs = {
+                "batch": list(server.answer(batch, filter_engine=engine)),
+                "single": [
+                    server.answer(query, filter_engine=engine) for query in batch
+                ],
+            }
+            for way, results in runs.items():
+                assert len(results) == rows
+                assert all(result.filter_engine == engine for result in results)
+                outcomes[(way, engine)] = [
                     (
                         result.ids.tolist(),
                         result.filter_stats.distance_computations,
                         result.filter_stats.hops,
+                        result.refine_comparisons,
                     )
                     for result in results
                 ]
-                assert all(
-                    result.filter_engine == engine for result in results
-                )
-    baseline = outcomes[("threads", "heap")]
+    baseline = outcomes[("single", "heap")]
     for key, value in outcomes.items():
-        assert value == baseline, f"{key} diverged from threads/heap"
+        assert value == baseline, f"{key} diverged from single/heap"
 
 
 def test_engine_registry_contract():

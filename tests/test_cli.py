@@ -44,30 +44,6 @@ class TestParser:
                  "--queries", "q.npy", "--refine-engine", "quantum"]
             )
 
-    def test_executor_choices(self):
-        # The knob rides query, serve, and listen alike.
-        for base in (
-            ["query", "--index", "i.npz", "--keys", "k.npz", "--queries", "q.npy"],
-            ["serve", "--index", "i.npz", "--keys", "k.npz", "--queries", "q.npy"],
-            ["listen", "--index", "i.npz"],
-        ):
-            args = build_parser().parse_args(
-                [*base, "--executor", "processes", "--workers", "4"]
-            )
-            assert args.executor == "processes"
-            assert args.workers == 4
-        # Default: server-side resolution (threads), pool-width workers.
-        args = build_parser().parse_args(
-            ["query", "--index", "i.npz", "--keys", "k.npz", "--queries", "q.npy"]
-        )
-        assert args.executor is None and args.workers is None
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["query", "--index", "i.npz", "--keys", "k.npz",
-                 "--queries", "q.npy", "--executor", "fibers"]
-            )
-
-
 class TestBuildAndQuery:
     def test_roundtrip(self, cli_workspace, capsys):
         root, database, queries = cli_workspace
@@ -158,41 +134,6 @@ class TestBuildAndQuery:
         )
         for i, ids in enumerate(payload["ids"]):
             assert i in ids
-
-    def test_process_executor_matches_threads(self, cli_workspace, capsys):
-        from repro.core.plane import process_plane_available
-
-        if not process_plane_available():
-            pytest.skip("process data plane unavailable on this host")
-        root, database, queries = cli_workspace
-        index_path = str(root / "exec_index.npz")
-        keys_path = str(root / "exec_keys.npz")
-        assert main(
-            ["build", str(root / "db.npy"), "--index", index_path,
-             "--keys", keys_path, "--beta", "0.2", "--backend", "bruteforce",
-             "--shards", "2", "--seed", "1"]
-        ) == 0
-        capsys.readouterr()
-
-        # Same seed on both runs: identical ciphertexts, so the executor
-        # modes must agree bit-for-bit, counters included.
-        def run(extra):
-            assert main(
-                ["query", "--index", index_path, "--keys", keys_path,
-                 "--queries", str(root / "queries.fvecs"), "-k", "5",
-                 "--json", "--seed", "7", *extra]
-            ) == 0
-            return json.loads(capsys.readouterr().out)
-
-        threads = run([])
-        procs = run(["--executor", "processes", "--workers", "2"])
-        assert threads["executor"] == "threads"
-        assert procs["executor"] == "processes"
-        assert procs["ids"] == threads["ids"]
-        assert procs["refine_comparisons"] == threads["refine_comparisons"]
-        from repro.core.shm import active_arenas
-
-        assert not active_arenas()
 
     def test_build_workers_flag_is_gone(self, cli_workspace, capsys):
         root, _, _ = cli_workspace
@@ -559,18 +500,15 @@ class TestNetworkServe:
 
 class TestResilienceFlags:
     def test_parser_defaults(self):
-        for base in (
-            ["query", "--index", "i.npz", "--keys", "k.npz", "--queries", "q.npy"],
-            ["serve", "--index", "i.npz", "--keys", "k.npz", "--queries", "q.npy"],
-        ):
-            args = build_parser().parse_args(base)
-            assert args.deadline_ms is None
-            assert args.retries == 0
-            args = build_parser().parse_args(
-                [*base, "--deadline-ms", "500", "--retries", "3"]
-            )
-            assert args.deadline_ms == 500
-            assert args.retries == 3
+        base = ["serve", "--index", "i.npz", "--keys", "k.npz", "--queries", "q.npy"]
+        args = build_parser().parse_args(base)
+        assert args.deadline_ms is None
+        assert args.retries == 0
+        args = build_parser().parse_args(
+            [*base, "--deadline-ms", "500", "--retries", "3"]
+        )
+        assert args.deadline_ms == 500
+        assert args.retries == 3
         args = build_parser().parse_args(["listen", "--index", "i.npz"])
         assert args.max_connections is None
         args = build_parser().parse_args(
@@ -601,7 +539,7 @@ class TestResilienceFlags:
 
         root, _, _ = cli_workspace
         base = [
-            "query",
+            "serve",
             "--index", str(root / "index.npz"),
             "--keys", str(root / "keys.npz"),
             "--queries", str(root / "queries.fvecs"),
@@ -623,26 +561,6 @@ class TestResilienceFlags:
                     "--retries", "2",
                 ]
             )
-
-    def test_query_with_budget_matches_plain_query(self, cli_workspace, capsys):
-        root, _, _ = cli_workspace
-        base = [
-            "query",
-            "--index", str(root / "index.npz"),
-            "--keys", str(root / "keys.npz"),
-            "--queries", str(root / "queries.fvecs"),
-            "-k", "5",
-            "--seed", "2",
-        ]
-        assert main(base) == 0
-        plain = capsys.readouterr().out
-        assert main([*base, "--deadline-ms", "60000", "--retries", "2"]) == 0
-        budgeted = capsys.readouterr().out
-        plain_ids = [l for l in plain.splitlines() if l.startswith("query")]
-        budgeted_ids = [
-            l for l in budgeted.splitlines() if l.startswith("query")
-        ]
-        assert plain_ids == budgeted_ids
 
     def test_remote_serve_reports_budget_and_retries(
         self, cli_workspace, capsys

@@ -14,7 +14,6 @@ from repro.testing import (
     FaultyExecute,
     FaultySocket,
     InjectedFault,
-    arm_plane_worker_kill,
 )
 
 
@@ -125,34 +124,3 @@ class TestFaultyExecute:
         )
         with pytest.raises(OSError, match="disk"):
             faulty()
-
-
-class _FakePlane:
-    """Just enough ProcessDataPlane surface for the arming helper."""
-
-    def __init__(self):
-        self.killed = []
-        self.batches = []
-
-    def kill_worker(self, index):
-        self.killed.append(index)
-
-    def filter_batch(self, batch):
-        self.batches.append(batch)
-        return "filtered"
-
-
-class TestArmPlaneWorkerKill:
-    def test_kills_before_the_nth_batch(self):
-        plane = _FakePlane()
-        trigger = CallTrigger(2)
-        assert arm_plane_worker_kill(plane, 0, trigger) is plane
-        assert plane.filter_batch("b1") == "filtered"
-        assert plane.killed == []
-        assert plane.filter_batch("b2") == "filtered"
-        # The kill landed before batch 2 ran — the batch still ran
-        # (and in the real plane observes the dead worker).
-        assert plane.killed == [0]
-        assert plane.batches == ["b1", "b2"]
-        assert plane.filter_batch("b3") == "filtered"
-        assert plane.killed == [0]
