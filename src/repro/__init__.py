@@ -69,15 +69,6 @@ from repro.serve import BatchScheduler, QueueFullError, ServerMetrics, ServingFr
 __version__ = "1.0.0"
 
 
-def __getattr__(name: str):
-    """Forward deprecated names to their owning module (warn on access)."""
-    if name == "SearchReport":
-        # Triggers repro.core.protocol's DeprecationWarning.
-        from repro.core import protocol
-
-        return protocol.SearchReport
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "PPANNS",
     "DataOwner",
@@ -97,7 +88,6 @@ __all__ = [
     "EncryptedQueryBatch",
     "SearchResult",
     "SearchResultBatch",
-    "SearchReport",  # noqa: F822  (module __getattr__, deprecated alias)
     "FilterBackend",
     "available_backends",
     "build_backend",

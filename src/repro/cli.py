@@ -35,9 +35,6 @@ A deployable front-end over the library for the three lifecycle stages:
   queued, up to ``--max-batch``, and the command
   reports throughput, latency percentiles, and the batch-size
   histogram (``--json`` emits the full metrics snapshot).
-* ``workload`` — synthetic serving benchmark: build a scheme, replay an
-  open-loop workload through the frontend *and* through the sequential
-  one-query-at-a-time path, and report the micro-batching speedup.
 * ``listen`` — the network server: load an index, wrap its serving
   frontend in the ``repro.net`` TCP server, and accept wire-protocol
   clients until interrupted.  ``--tenant KEYID[:TOKEN[:QUOTA[:RATE]]]``
@@ -369,12 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         "beyond it submissions are rejected with QueueFullError",
     )
     serve.add_argument(
-        "--cache-size",
-        type=int,
-        default=0,
-        help="LRU result-cache capacity in entries (0 disables caching)",
-    )
-    serve.add_argument(
         "--rate",
         type=float,
         default=None,
@@ -401,33 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(--connect mode only)",
     )
     serve.add_argument("--seed", type=int, default=None)
-
-    workload = commands.add_parser(
-        "workload",
-        help="synthetic serving benchmark: micro-batched vs sequential",
-    )
-    workload.add_argument("--profile", default="deep", help="dataset profile")
-    workload.add_argument("-n", type=int, default=2000, help="database size")
-    workload.add_argument("--queries", type=int, default=32)
-    workload.add_argument("--beta", type=float, default=1.0)
-    workload.add_argument("-k", type=int, default=10)
-    workload.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default="hnsw",
-        help="filter-phase backend",
-    )
-    workload.add_argument("--shards", type=int, default=1, help="filter shard count")
-    workload.add_argument("--max-batch", type=int, default=16)
-    workload.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        help="open-loop Poisson arrival rate in queries/second "
-        "(default: back-to-back)",
-    )
-    workload.add_argument("--json", action="store_true")
-    workload.add_argument("--seed", type=int, default=0)
 
     listen = commands.add_parser(
         "listen", help="serve wire-protocol clients over TCP (repro.net)"
@@ -470,9 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     listen.add_argument("--max-batch", type=int, default=32)
     listen.add_argument(
         "--queue-depth", type=int, default=1024, help="admission-queue bound"
-    )
-    listen.add_argument(
-        "--cache-size", type=int, default=0, help="LRU result-cache capacity"
     )
     listen.add_argument(
         "--max-body-bytes",
@@ -800,7 +761,6 @@ def _serve_local(args: argparse.Namespace, encrypted, key_id: int, index):
     frontend = server.serving_frontend(
         max_batch_size=args.max_batch,
         max_queue_depth=queue_depth,
-        cache_size=args.cache_size,
     )
     # The same admission path the network server uses, so the reported
     # tenancy view is the real thing, not a reconstruction.
@@ -896,7 +856,6 @@ def _cmd_listen(args: argparse.Namespace) -> int:
     frontend = server.serving_frontend(
         max_batch_size=args.max_batch,
         max_queue_depth=args.queue_depth,
-        cache_size=args.cache_size,
     )
     with frontend:
         net = NetServer(
@@ -919,71 +878,6 @@ def _cmd_listen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_workload(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    dataset = make_dataset(args.profile, num_vectors=args.n,
-                           num_queries=args.queries, rng=rng)
-    owner = DataOwner(
-        dataset.dim, beta=args.beta, backend=args.backend,
-        shards=args.shards, rng=rng,
-    )
-    index = owner.build_index(dataset.database)
-    server = CloudServer(index)
-    user = QueryUser(owner.authorize_user(), rng=rng)
-    encrypted = [user.encrypt_query(q, args.k) for q in dataset.queries]
-
-    sequential_start = time.perf_counter()
-    sequential = [server.answer(query) for query in encrypted]
-    sequential_seconds = time.perf_counter() - sequential_start
-
-    frontend = server.serving_frontend(
-        max_batch_size=args.max_batch,
-        max_queue_depth=max(1024, len(encrypted)),
-    )
-    with frontend:
-        served, served_seconds = replay_open_loop(
-            frontend, encrypted, args.rate, args.seed
-        )
-        snapshot = frontend.metrics.snapshot()
-
-    matched = all(
-        np.array_equal(a.ids, b.ids) for a, b in zip(sequential, served)
-    )
-    sequential_qps = (
-        len(encrypted) / sequential_seconds if sequential_seconds > 0 else 0.0
-    )
-    served_qps = len(encrypted) / served_seconds if served_seconds > 0 else 0.0
-    speedup = served_qps / sequential_qps if sequential_qps > 0 else float("inf")
-
-    if args.json:
-        payload = {
-            "profile": args.profile,
-            "n": args.n,
-            "dim": dataset.dim,
-            "backend": index.backend_kind,
-            "shards": getattr(index, "num_shards", 1),
-            "k": args.k,
-            "num_queries": len(encrypted),
-            "max_batch_size": args.max_batch,
-            "rate": args.rate,
-            "sequential_qps": sequential_qps,
-            "served_qps": served_qps,
-            "speedup": speedup,
-            "ids_match": matched,
-            "metrics": snapshot.as_dict(),
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(
-        f"profile={args.profile} n={args.n} d={dataset.dim} "
-        f"backend={index.backend_kind} q={len(encrypted)}: "
-        f"sequential {sequential_qps:.0f} QPS -> micro-batched "
-        f"{served_qps:.0f} QPS ({speedup:.2f}x), mean batch "
-        f"{snapshot.mean_batch_size:.1f}, ids {'match' if matched else 'DIVERGED'}"
-    )
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
@@ -994,7 +888,6 @@ def main(argv: list[str] | None = None) -> int:
         "info": _cmd_info,
         "compact": _cmd_compact,
         "serve": _cmd_serve,
-        "workload": _cmd_workload,
         "listen": _cmd_listen,
     }
     return handlers[args.command](args)

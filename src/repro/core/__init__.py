@@ -126,15 +126,6 @@ from repro.core.sharding import (
 )
 
 
-def __getattr__(name: str):
-    """Forward deprecated names to their owning module (warn on access)."""
-    if name == "SearchReport":
-        # Triggers repro.core.protocol's DeprecationWarning.
-        from repro.core import protocol
-
-        return protocol.SearchReport
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "DCEScheme",
     "DCECiphertext",
@@ -162,7 +153,6 @@ __all__ = [
     "EncryptedQueryBatch",
     "SearchResult",
     "SearchResultBatch",
-    "SearchReport",  # noqa: F822  (module __getattr__, deprecated alias)
     "resolve_ef_search",
     "FilterBackend",
     "HNSWBackend",

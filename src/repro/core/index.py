@@ -23,7 +23,6 @@ DCE ciphertexts directly.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -187,23 +186,6 @@ class EncryptedIndex:
         the refine phase, the DCE database and the serving layer speak.
         """
         return self._view.live_ids
-
-    @property
-    def graph(self):
-        """The backend's substrate index.
-
-        Deprecated accessor from the HNSW-only era — for an HNSW backend
-        it returns the :class:`~repro.hnsw.graph.HNSWIndex` as before.
-        Emits a :class:`DeprecationWarning`; use :attr:`backend` (or
-        ``backend.substrate``) instead.
-        """
-        warnings.warn(
-            "EncryptedIndex.graph is deprecated; use "
-            "EncryptedIndex.backend.substrate instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._view.backend.substrate
 
     @property
     def dce_database(self) -> DCEEncryptedDatabase:

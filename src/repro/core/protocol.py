@@ -16,10 +16,6 @@ This module gives that protocol explicit, batch-first types:
   the per-stage wall-clock split (``filter_seconds`` /
   ``mask_seconds`` / ``refine_seconds``) and the refine-engine fields
   (``refine_engine`` name, ``refine_kernel_seconds``).
-  ``SearchReport`` remains as a deprecated alias of
-  :class:`SearchResult` for the seed API; accessing it emits a
-  :class:`DeprecationWarning` (module-level ``__getattr__``, matching
-  the ``EncryptedIndex.graph`` precedent).
 * :class:`ShardTiming` — per-shard instrumentation attached to results
   answered by a :class:`~repro.core.sharding.ShardedEncryptedIndex`:
   each shard's filter wall clock, candidate count, and gather payload
@@ -36,7 +32,6 @@ full and filter-only paths cannot drift apart again.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
@@ -53,7 +48,6 @@ __all__ = [
     "EncryptedQueryBatch",
     "SearchResult",
     "SearchResultBatch",
-    "SearchReport",  # noqa: F822  (module __getattr__, deprecated alias)
     "ShardTiming",
     "resolve_ef_search",
 ]
@@ -323,7 +317,7 @@ class ShardTiming:
 
 @dataclass
 class SearchResult:
-    """Instrumented answer to one query (formerly ``SearchReport``).
+    """Instrumented answer to one query.
 
     Attributes
     ----------
@@ -392,25 +386,6 @@ class SearchResult:
         return sum(timing.gather_bytes for timing in self.shard_timings)
 
 
-def __getattr__(name: str):
-    """Deprecated module attributes (warn on access, once per call site).
-
-    ``SearchReport`` is the seed era's name for :class:`SearchResult`;
-    the alias still resolves — including via ``from repro.core.protocol
-    import SearchReport`` — but every access emits a
-    :class:`DeprecationWarning`, exactly like the
-    ``EncryptedIndex.graph`` accessor it postdates.
-    """
-    if name == "SearchReport":
-        warnings.warn(
-            "SearchReport is deprecated; use SearchResult instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return SearchResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass
 class SearchResultBatch:
     """The server's answer to an :class:`EncryptedQueryBatch`.
@@ -419,13 +394,13 @@ class SearchResultBatch:
     instrumentation, so batch callers get both the ids matrix and the
     totals without re-deriving them.
 
-    Two timing views coexist: the per-query stage timings (and their
-    sums below) are **thread-local** wall clocks — with the pipelined
-    executor they include time a worker spends descheduled behind
-    sibling queries, so their sum can exceed real elapsed time on a
-    busy pool.  ``wall_seconds`` is the batch's actual start-to-finish
-    wall clock as measured by the executor (``None`` on hand-built
-    batches), and it is what :attr:`qps` prefers.
+    Two timing views coexist.  The per-query stage timings (and their
+    sums below) split each query's own time; a batched filter pre-pass
+    (one GEMM for the whole batch) is charged to every query in equal
+    shares.  ``wall_seconds`` is the batch's start-to-finish wall clock,
+    pre-pass included, so it is never less than the summed
+    ``filter_seconds`` (``None`` on hand-built batches); it is what
+    :attr:`qps` prefers.
     """
 
     results: list[SearchResult]
@@ -515,10 +490,9 @@ class SearchResultBatch:
     def qps(self) -> float:
         """Observed batch throughput.
 
-        Prefers the executor-measured ``wall_seconds`` (queries may have
-        run concurrently); falls back to the single-thread throughput
-        implied by the mean per-query latency when no wall clock was
-        recorded.
+        Prefers the measured ``wall_seconds``; falls back to the
+        throughput implied by the mean per-query latency when no wall
+        clock was recorded.
         """
         if self.wall_seconds is not None:
             if self.wall_seconds <= 0:

@@ -460,9 +460,6 @@ class CloudServer:
         self,
         max_batch_size: int = 32,
         max_queue_depth: int = 1024,
-        cache_size: int = 0,
-        refine_engine: "str | None" = None,
-        filter_engine: "str | None" = None,
     ):
         """An online :class:`~repro.serve.frontend.ServingFrontend` over this server.
 
@@ -480,9 +477,6 @@ class CloudServer:
             self,
             max_batch_size=max_batch_size,
             max_queue_depth=max_queue_depth,
-            cache_size=cache_size,
-            refine_engine=refine_engine,
-            filter_engine=filter_engine,
         )
 
     def answer(

@@ -17,7 +17,6 @@ instrumentation.
 from __future__ import annotations
 
 import os
-import weakref
 
 import numpy as np
 
@@ -108,10 +107,6 @@ class PPANNS:
         self._default_ratio_k = default_ratio_k
         self._refine_engine = refine_engine
         self._filter_engine = filter_engine
-        # Frontends created through serve(); held weakly so an
-        # abandoned frontend doesn't outlive its callers, and flushed
-        # on maintenance (cached results go stale on mutation).
-        self._frontends: "weakref.WeakSet" = weakref.WeakSet()
         # Optional incremental-persistence journal (enable_journal);
         # mutations through insert()/delete() append delta segments.
         self._journal = None
@@ -234,9 +229,6 @@ class PPANNS:
         self,
         max_batch_size: int = 32,
         max_queue_depth: int = 1024,
-        cache_size: int = 0,
-        refine_engine: str | None = None,
-        filter_engine: str | None = None,
     ):
         """An online serving frontend over the fitted server.
 
@@ -244,28 +236,16 @@ class PPANNS:
         submit encrypted queries one at a time and the server forms the
         micro-batches that amortize per-batch setup (whatever is queued,
         up to the size cap, bounded queue with
-        :class:`~repro.serve.frontend.QueueFullError` backpressure,
-        optional LRU result cache, live
+        :class:`~repro.serve.frontend.QueueFullError` backpressure, live
         :class:`~repro.serve.metrics.ServerMetrics`)::
 
             with scheme.serve(max_batch_size=32) as frontend:
                 future = frontend.submit(scheme.user.encrypt_query(q, k=10))
                 ids = future.result().ids
-
-        Frontends created here are tracked (weakly) by the facade:
-        :meth:`insert` / :meth:`delete` flush their result caches
-        automatically, since a cached answer can go stale on any index
-        mutation.
         """
-        frontend = self.server.serving_frontend(
-            max_batch_size=max_batch_size,
-            max_queue_depth=max_queue_depth,
-            cache_size=cache_size,
-            refine_engine=refine_engine,
-            filter_engine=filter_engine,
+        return self.server.serving_frontend(
+            max_batch_size=max_batch_size, max_queue_depth=max_queue_depth
         )
-        self._frontends.add(frontend)
-        return frontend
 
     def query_filter_only(
         self,
@@ -282,53 +262,32 @@ class PPANNS:
 
     # -- maintenance -------------------------------------------------------------------
 
-    def _flush_serving_caches(self) -> None:
-        """Flush tracked frontends serving the *current* server.
-
-        Only frontends attached to the mutated index go stale; a
-        frontend created before a re-``fit`` still answers over the old
-        server object and its cache is untouched by mutations here.
-        """
-        for frontend in list(self._frontends):
-            if frontend.server is self._server:
-                frontend.cache_clear()
-
     def insert(self, vector: np.ndarray) -> int:
         """Insert one vector (owner encrypts, server links); returns its id.
 
-        Flushes the result caches of frontends serving the mutated
-        index — an insert can change any cached top-k — and appends a
-        delta segment when a journal is enabled.
+        Appends a delta segment when a journal is enabled.
         """
         inserted = insert_vector(
             self._owner, self.server.index, vector, journal=self._journal
         )
-        self._flush_serving_caches()
         return inserted
 
     def delete(self, vector_id: int) -> None:
         """Delete a vector server-side (Section V-D).
 
-        Flushes the result caches of frontends serving the mutated
-        index — cached answers may carry the tombstoned id — and
-        appends a delta segment when a journal is enabled.
+        Appends a delta segment when a journal is enabled.
         """
         delete_vector(self.server.index, vector_id, journal=self._journal)
-        self._flush_serving_caches()
 
     def compact(self):
         """Drop every tombstone from the filter structures (online).
 
         Rebuilds the backend (per shard when sharded) behind an atomic
-        swap while tracked frontends keep answering, then flushes their
-        result caches — the generation bump guarantees in-flight
-        pre-compaction answers cannot repopulate them.  With a journal
+        swap while serving frontends keep answering.  With a journal
         enabled the delta segments are folded into a fresh base
         generation.  Returns a
         :class:`~repro.core.maintenance.CompactionReport`.
         """
-        report = compact_index(
+        return compact_index(
             self.server.index, rng=self._owner.rng, journal=self._journal
         )
-        self._flush_serving_caches()
-        return report

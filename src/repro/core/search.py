@@ -68,7 +68,6 @@ partitioned.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -95,7 +94,6 @@ __all__ = [
     "EncryptedQuery",
     "EncryptedQueryBatch",
     "SearchRequest",
-    "SearchReport",  # noqa: F822  (module __getattr__, deprecated alias)
     "SearchResult",
     "SearchResultBatch",
     "PipelineContext",
@@ -106,18 +104,6 @@ __all__ = [
     "execute_batch",
     "execute_batch_settled",
 ]
-
-
-def __getattr__(name: str):
-    """Forward the deprecated ``SearchReport`` alias (warns on access)."""
-    if name == "SearchReport":
-        warnings.warn(
-            "SearchReport is deprecated; use SearchResult instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return SearchResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # -- the staged pipeline ---------------------------------------------------------
@@ -383,7 +369,8 @@ def execute_batch_settled(
     batch equally.
 
     Returns ``(settled, wall_seconds, request)`` where ``wall_seconds``
-    is the per-query loop's start-to-finish wall clock and ``request`` the
+    is the batch's start-to-finish wall clock — the batched filter
+    pre-pass included — and ``request`` the
     batch's fully resolved :class:`SearchRequest` (so callers never
     re-resolve and risk drifting from what actually executed).
 
@@ -399,6 +386,7 @@ def execute_batch_settled(
     live_mask = index.live_mask()
     key_id = batch.key_id
 
+    start = time.perf_counter()
     prefiltered = None
     if (
         fengine.name == "vectorized"
@@ -443,9 +431,8 @@ def execute_batch_settled(
             prefiltered=None if prefiltered is None else prefiltered[i],
         )
 
-    loop_start = time.perf_counter()
     settled = [Settled.capture(run_query, i) for i in range(len(batch))]
-    return settled, time.perf_counter() - loop_start, request
+    return settled, time.perf_counter() - start, request
 
 
 def execute_batch(

@@ -7,8 +7,8 @@ This subpackage regenerates the paper's Section VII experiments:
   bytes and round trips into latency, plus MAC-count accounting, so
   user-involved baselines (RS-SANN, PACM-ANN, PRI-ANN) pay their
   communication bills the way the paper's testbed would.
-* :mod:`repro.eval.runner` — recall-vs-QPS curve sweeps over ``ef_search``
-  / ``ratio_k`` for any method exposing the common search protocol.
+* :mod:`repro.eval.runner` — the recall-vs-QPS curve types and the
+  filter-only ``ef_search`` sweep behind Figure 4.
 * :mod:`repro.eval.reporting` — fixed-width text tables mirroring the
   paper's tables and figure series.
 """
@@ -21,13 +21,11 @@ from repro.eval.metrics import (
     qps_from_latencies,
     summarize_latencies,
 )
-from repro.eval.opcount import QueryCostModel, predict_query_cost
 from repro.eval.plotting import render_curves
 from repro.eval.runner import (
     CurvePoint,
     MethodCurve,
     sweep_filter_only,
-    sweep_ppanns,
 )
 from repro.eval.reporting import format_table, format_curve
 
@@ -42,11 +40,8 @@ __all__ = [
     "summarize_latencies",
     "CurvePoint",
     "MethodCurve",
-    "sweep_ppanns",
     "sweep_filter_only",
     "format_table",
     "format_curve",
     "render_curves",
-    "QueryCostModel",
-    "predict_query_cost",
 ]

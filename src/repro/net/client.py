@@ -32,11 +32,9 @@ exactly once and are never replayed):
   sleeping ``uniform(0, min(cap, base * 2^attempt))`` between attempts
   and honoring any server retry-after hint.  The clock and RNG are
   injectable, so tests drive the schedule deterministically.
-* **Safe re-execution.**  A retried query re-sends byte-identical
-  ciphertexts; the server's result cache keys on exactly those bytes
-  (:func:`repro.serve.cache.query_digest`), so a retry whose first
-  attempt actually executed dedups server-side instead of
-  double-running.
+* **Safe re-execution.**  A query is a read: answering it changes
+  nothing on the server, so a retry whose first attempt actually
+  executed simply runs the search again and returns the same answer.
 * **Fail-fast caller timeouts.**  ``answer(timeout=...)`` expiry aborts
   the connection (failing every in-flight future typed) and raises
   :class:`RequestTimeoutError` — the FIFO reply stream is never left
@@ -470,10 +468,9 @@ class NetClient:
         """Run one blocking operation under the retry policy.
 
         Only :data:`_RETRYABLE` refusals are replayed, up to the
-        configured count.  Re-sending is safe by construction: the
-        retried ciphertext bytes are identical, so the server's result
-        cache digest matches and an attempt that actually executed is
-        answered from cache rather than run twice.
+        configured count.  Re-sending is safe by construction: a query
+        changes no server state, so an attempt that actually executed
+        and is run again returns the same answer.
         """
         attempt = 0
         while True:

@@ -357,8 +357,7 @@ def encode_query_batch_v2(
     ``deadline_ms`` is the client's remaining latency budget in
     milliseconds (0 on the wire encodes "no deadline").  The matrices
     are byte-identical to the v1 layout — v2 only prepends one more
-    envelope field — so the dedup digest over the ciphertexts is
-    unchanged and a retried query still hits the server's result cache.
+    envelope field.
     """
     if deadline_ms is not None:
         deadline_ms = int(deadline_ms)

@@ -1,24 +1,22 @@
 """Online micro-batching serving layer over the staged query pipeline.
 
-The offline engine (PRs 1-4) made every stage fast for callers who hand
-the server a pre-assembled batch.  This package serves the ROADMAP's
-online workload — requests arriving one at a time from many users — by
-letting the **server itself** form the batches that amortize per-batch
-setup:
+The offline engine answers callers who hand the server a pre-assembled
+batch.  This package serves the online workload — requests arriving one
+at a time from many users — by letting the **server itself** form the
+batches that amortize per-batch setup.  Every query takes the one
+filter-and-refine pass: query encryption is randomised, so there is no
+repeat ciphertext to cache.
 
 * :class:`~repro.serve.frontend.ServingFrontend` — the entry point:
   bounded admission queue, per-query futures, explicit backpressure via
-  :class:`~repro.serve.frontend.QueueFullError`, optional LRU result
-  cache.
+  :class:`~repro.serve.frontend.QueueFullError`.
 * :class:`~repro.serve.scheduler.BatchScheduler` — the scheduler
   thread: as soon as it is free it takes whatever is queued (up to the
   size cap) and runs it through
   :func:`repro.core.search.execute_batch_settled` on the same thread.
-* :class:`~repro.serve.cache.ResultCache` — LRU of answered results
-  keyed by ciphertext digest (:func:`~repro.serve.cache.query_digest`).
 * :class:`~repro.serve.metrics.ServerMetrics` — qps, p50/p95/p99
   latency, queue depth, batch-size histogram, per-stage seconds;
-  snapshots feed the CLI's ``serve`` / ``workload`` ``--json`` output.
+  snapshots feed the CLI's ``serve --json`` output and the wire STATS.
 
 Construction normally goes through
 :meth:`repro.core.roles.CloudServer.serving_frontend` or
@@ -34,7 +32,6 @@ The end-to-end benchmark's ``online_hnsw_net`` and
 throughput through this stack.
 """
 
-from repro.serve.cache import ResultCache, query_digest
 from repro.serve.frontend import (
     DeadlineExceededError,
     QueueFullError,
@@ -50,8 +47,6 @@ __all__ = [
     "DeadlineExceededError",
     "BatchScheduler",
     "PendingQuery",
-    "ResultCache",
-    "query_digest",
     "ServerMetrics",
     "MetricsSnapshot",
     "replay_open_loop",

@@ -1,4 +1,4 @@
-"""The online serving frontend: admission, backpressure, caching.
+"""The online serving frontend: admission and backpressure.
 
 This is the piece that turns the batch-first engine into an *online*
 server.  Requests arrive one at a time (``submit`` returns a future
@@ -27,16 +27,16 @@ Design points:
   :class:`concurrent.futures.Future`; a failing query delivers its
   exception to its own future while batch siblings complete normally
   (see :func:`repro.core.search.execute_batch_settled`).
-* **Result cache.**  An optional LRU keyed by ciphertext digest
-  (:mod:`repro.serve.cache`) answers bit-identical repeat queries
-  without touching the queue; index maintenance must ``cache_clear()``.
+* **No result cache.**  Query encryption is randomised, so two users
+  asking the same question never send the same ciphertext; every query
+  takes the one filter-and-refine pass.
 * **Metrics.**  A :class:`~repro.serve.metrics.ServerMetrics` aggregates
   qps, latency percentiles, queue depth, the batch-size histogram, and
   per-stage seconds; ``metrics.snapshot()`` is the monitoring payload.
 
 Construction goes through :meth:`repro.core.roles.CloudServer
 .serving_frontend` / :meth:`repro.core.scheme.PPANNS.serve`; the CLI's
-``serve``, ``workload`` and ``listen`` commands drive it end to end.
+``serve`` and ``listen`` commands drive it end to end.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ import numpy as np
 from repro.core.errors import ParameterError, PPANNSError
 from repro.core.protocol import EncryptedQuery, SearchResult, SearchResultBatch
 from repro.core.search import execute_batch_settled
-from repro.serve.cache import ResultCache, query_digest
 from repro.serve.metrics import ServerMetrics
 from repro.serve.scheduler import (
     BatchScheduler,
@@ -106,14 +105,6 @@ class ServingFrontend:
     max_queue_depth:
         Admission-queue bound; a submit beyond it raises
         :class:`QueueFullError`.
-    cache_size:
-        LRU result-cache capacity in entries (0 disables caching).
-    refine_engine:
-        Refine-engine override for served traffic (``None`` = the
-        server's configured engine).
-    filter_engine:
-        Filter-engine override for served traffic (``None`` = the
-        server's configured engine).
     metrics:
         An external :class:`~repro.serve.metrics.ServerMetrics` to
         aggregate into (``None`` creates a private one).
@@ -129,9 +120,6 @@ class ServingFrontend:
         server,
         max_batch_size: int = 32,
         max_queue_depth: int = 1024,
-        cache_size: int = 0,
-        refine_engine: str | None = None,
-        filter_engine: str | None = None,
         metrics: ServerMetrics | None = None,
     ) -> None:
         if max_batch_size < 1:
@@ -145,10 +133,7 @@ class ServingFrontend:
         self._server = server
         self._max_batch_size = max_batch_size
         self._max_queue_depth = max_queue_depth
-        self._refine_engine = refine_engine
-        self._filter_engine = filter_engine
         self._metrics = metrics if metrics is not None else ServerMetrics()
-        self._cache = ResultCache(cache_size)
         self._queue: "queue.Queue" = queue.Queue(maxsize=max_queue_depth)
         self._lock = threading.Lock()
         self._scheduler: BatchScheduler | None = None
@@ -164,11 +149,6 @@ class ServingFrontend:
     def metrics(self) -> ServerMetrics:
         """The serving-metrics aggregator."""
         return self._metrics
-
-    @property
-    def cache(self) -> ResultCache:
-        """The LRU result cache (capacity 0 when disabled)."""
-        return self._cache
 
     @property
     def queue_depth(self) -> int:
@@ -197,14 +177,13 @@ class ServingFrontend:
     def _start_locked(self) -> BatchScheduler:
         """Ensure a live scheduler exists; caller holds ``self._lock``."""
         if self._scheduler is None or not self._scheduler.running:
-            # Hooks go over weakly (see _weak_hook): the thread must
-            # not keep an abandoned frontend alive.
+            # The hook goes over weakly (see _weak_hook): the thread
+            # must not keep an abandoned frontend alive.
             self._scheduler = BatchScheduler(
                 self._queue,
                 _weak_hook(self._execute),
                 max_batch_size=self._max_batch_size,
                 metrics=self._metrics,
-                on_result=_weak_hook(self._cache_result),
             ).start()
         return self._scheduler
 
@@ -236,8 +215,7 @@ class ServingFrontend:
         Raises :class:`QueueFullError` when the admission queue is at
         capacity and :class:`~repro.core.errors.ParameterError` for a
         query whose dimensionality cannot match the index (failing fast
-        beats failing a formed batch).  A cache hit resolves the future
-        synchronously without entering the queue.
+        beats failing a formed batch).
 
         ``deadline_ms`` is the query's end-to-end latency budget.  Two
         shedding points enforce it: admission refuses synchronously
@@ -245,8 +223,7 @@ class ServingFrontend:
         queue wait already exceeds the budget — a query that cannot
         possibly make it never occupies a queue slot — and the
         scheduler sheds any query whose deadline passes while it waits,
-        *before* filter/refine work starts.  A cache hit always
-        succeeds: it costs no pipeline time.
+        *before* filter/refine work starts.
         """
         if deadline_ms is not None and deadline_ms <= 0:
             raise ParameterError(
@@ -257,16 +234,6 @@ class ServingFrontend:
                 f"query has dimension {query.sap_vector.shape[-1]}, but the "
                 f"index holds {self._server.index.dim}-dimensional ciphertexts"
             )
-        digest = None
-        if self._cache.capacity:
-            digest = query_digest(query)
-            cached = self._cache.get(digest)
-            if cached is not None:
-                self._metrics.record_cache_hit()
-                future: "Future[SearchResult]" = Future()
-                future.set_result(cached)
-                return future
-            self._metrics.record_cache_miss()
         deadline_at = None
         if deadline_ms is not None:
             budget = deadline_ms / 1000.0
@@ -278,12 +245,7 @@ class ServingFrontend:
                     f"{budget:.3f}s deadline budget; query refused at admission"
                 )
             deadline_at = time.perf_counter() + budget
-        pending = PendingQuery(
-            query=query,
-            digest=digest,
-            cache_generation=self._cache.generation,
-            deadline_at=deadline_at,
-        )
+        pending = PendingQuery(query=query, deadline_at=deadline_at)
         try:
             with self._lock:
                 scheduler = self._start_locked()
@@ -334,52 +296,23 @@ class ServingFrontend:
             raise first_error
         return SearchResultBatch(results)
 
-    def cache_clear(self) -> int:
-        """Flush the result cache (call after index maintenance).
-
-        Returns the cache's new generation: any in-flight answer that
-        was admitted under an older generation can no longer repopulate
-        the cache, which is what lets a compactor swap backends while
-        queries keep streaming.
-        """
-        return self._cache.clear()
-
     # -- scheduler hooks ---------------------------------------------------------
 
     def _execute(self, batch):
         """Run one stacked group through the settled batch engine.
 
-        Without a frontend override, the server's resolved engine
-        *instances* run the batch (its public properties are names, and
-        an unregistered instance has no name to resolve).
+        The server's resolved engine *instances* run the batch (its
+        public properties are names, and an unregistered instance has
+        no name to resolve).
         """
         server = self._server
         return execute_batch_settled(
             server.index,
             batch,
             default_ratio_k=server.default_ratio_for(batch.request.mode),
-            refine_engine=(
-                self._refine_engine
-                if self._refine_engine is not None
-                else server._refine_engine
-            ),
-            filter_engine=(
-                self._filter_engine
-                if self._filter_engine is not None
-                else server._filter_engine
-            ),
+            refine_engine=server._refine_engine,
+            filter_engine=server._filter_engine,
         )
-
-    def _cache_result(self, pending: PendingQuery, result: SearchResult) -> None:
-        """Store a successful answer under its admission-time digest.
-
-        The admission-time generation guards the store: if the cache
-        was cleared while this query was in flight (index mutation),
-        the stale answer is dropped instead of repopulating the cache.
-        """
-        if pending.digest is not None:
-            if self._cache.put(pending.digest, result, pending.cache_generation):
-                self._metrics.record_cache_insert()
 
 
 def replay_open_loop(
@@ -392,7 +325,7 @@ def replay_open_loop(
     """Replay an encrypted workload open-loop; ``(results, elapsed)``.
 
     The one definition of the open-loop arrival contract, shared by the
-    CLI's ``serve`` / ``workload`` commands and the serving benches —
+    CLI's ``serve`` command and the serving benches —
     submissions never wait on answers, so the scheduler (not the
     client) sets the batching.
     ``rate`` is a Poisson arrival rate in queries/second (inter-arrival

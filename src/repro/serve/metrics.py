@@ -21,7 +21,7 @@ needs *continuous* aggregates over whatever traffic arrives.
 
 :meth:`ServerMetrics.snapshot` freezes everything into an immutable
 :class:`MetricsSnapshot` whose :meth:`~MetricsSnapshot.as_dict` is the
-JSON payload the CLI's ``serve`` / ``workload`` commands emit; the
+JSON payload the CLI's ``serve`` command emits; the
 field set is documented in ``docs/FORMATS.md``.
 """
 
@@ -67,14 +67,6 @@ class MetricsSnapshot:
         Query counters: admitted to the queue, answered successfully,
         settled with an exception, refused with
         :class:`~repro.serve.frontend.QueueFullError`.
-    cache_hits:
-        Queries answered from the result cache without being enqueued.
-    cache_misses:
-        Cache lookups that found nothing (the query went on to the
-        admission queue).  Only counted while a cache is enabled.
-    cache_inserts:
-        Answers actually stored in the cache (drops from capacity-0 or
-        stale-generation puts are excluded).
     qps:
         ``completed / elapsed_seconds`` (0.0 before any completion).
     latency_p50 / latency_p95 / latency_p99:
@@ -110,6 +102,10 @@ class MetricsSnapshot:
         :class:`~repro.net.client.NetClient` whose ``on_retry`` hook is
         wired to these metrics (pure server-side deployments leave
         it 0).
+    cache_hits:
+        Always 0: there is no result cache (query encryption is
+        randomised, so no two queries repeat a ciphertext).  The field
+        stays because the end-to-end benchmark reports it.
     """
 
     elapsed_seconds: float
@@ -117,9 +113,6 @@ class MetricsSnapshot:
     completed: int
     failed: int
     rejected: int
-    cache_hits: int
-    cache_misses: int
-    cache_inserts: int
     qps: float
     latency_p50: float
     latency_p95: float
@@ -136,9 +129,10 @@ class MetricsSnapshot:
     rate_limited: int = 0
     connection_refusals: int = 0
     retries: int = 0
+    cache_hits: int = 0
 
     def as_dict(self) -> dict:
-        """JSON-ready form (the CLI ``serve`` / ``workload`` payload)."""
+        """JSON-ready form (the CLI ``serve`` payload, the wire STATS)."""
         return {
             "elapsed_seconds": self.elapsed_seconds,
             "submitted": self.submitted,
@@ -146,8 +140,6 @@ class MetricsSnapshot:
             "failed": self.failed,
             "rejected": self.rejected,
             "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_inserts": self.cache_inserts,
             "qps": self.qps,
             "latency_p50": self.latency_p50,
             "latency_p95": self.latency_p95,
@@ -194,9 +186,6 @@ class ServerMetrics:
             self._completed = 0
             self._failed = 0
             self._rejected = 0
-            self._cache_hits = 0
-            self._cache_misses = 0
-            self._cache_inserts = 0
             self._latencies: deque[float] = deque(maxlen=self._latency_window)
             self._queue_depth = 0
             self._max_queue_depth = 0
@@ -222,21 +211,6 @@ class ServerMetrics:
         """One query was refused at admission (queue full)."""
         with self._lock:
             self._rejected += 1
-
-    def record_cache_hit(self) -> None:
-        """One query was answered from the result cache."""
-        with self._lock:
-            self._cache_hits += 1
-
-    def record_cache_miss(self) -> None:
-        """One enabled-cache lookup found nothing."""
-        with self._lock:
-            self._cache_misses += 1
-
-    def record_cache_insert(self) -> None:
-        """One answer was stored in the result cache."""
-        with self._lock:
-            self._cache_inserts += 1
 
     def record_batch(self, batch_size: int) -> None:
         """The scheduler dispatched one micro-batch of the given size."""
@@ -332,9 +306,6 @@ class ServerMetrics:
                 completed=self._completed,
                 failed=self._failed,
                 rejected=self._rejected,
-                cache_hits=self._cache_hits,
-                cache_misses=self._cache_misses,
-                cache_inserts=self._cache_inserts,
                 qps=self._completed / elapsed if elapsed > 0 else 0.0,
                 latency_p50=percentile(ordered, 50),
                 latency_p95=percentile(ordered, 95),

@@ -95,12 +95,6 @@ class PendingQuery:
     enqueued_at:
         ``time.perf_counter()`` at admission — the start of the
         end-to-end latency the metrics report.
-    digest:
-        The query's cache digest, or ``None`` when caching is off.
-    cache_generation:
-        The cache generation observed at admission; a completion whose
-        generation went stale (the cache was cleared mid-flight) must
-        not repopulate the cache.
     deadline_at:
         Absolute ``time.perf_counter()`` deadline, or ``None`` for no
         budget.  The scheduler sheds queries past it *before* any
@@ -110,8 +104,6 @@ class PendingQuery:
     query: object
     future: Future = field(default_factory=Future)
     enqueued_at: float = field(default_factory=time.perf_counter)
-    digest: bytes | None = None
-    cache_generation: int = 0
     deadline_at: float | None = None
 
 
@@ -134,10 +126,6 @@ class BatchScheduler:
     metrics:
         The frontend's :class:`~repro.serve.metrics.ServerMetrics`
         (batch sizes, completions, failures land here), or ``None``.
-    on_result:
-        Optional ``on_result(pending, result)`` hook invoked for every
-        *successful* answer before its future resolves — the frontend
-        uses it to populate the result cache.
     """
 
     def __init__(
@@ -146,7 +134,6 @@ class BatchScheduler:
         execute,
         max_batch_size: int = 32,
         metrics=None,
-        on_result=None,
     ) -> None:
         if max_batch_size < 1:
             raise ParameterError(
@@ -156,7 +143,6 @@ class BatchScheduler:
         self._execute = execute
         self._max_batch_size = max_batch_size
         self._metrics = metrics
-        self._on_result = on_result
         self._stop_requested = threading.Event()
         # offer() and the thread's exit path synchronize on this lock:
         # an accepted offer happens-before the exit flag, so its item is
@@ -247,10 +233,10 @@ class BatchScheduler:
     def _hooks_dead(self) -> bool:
         """Whether the owning frontend was garbage collected.
 
-        The frontend hands its hooks over as ``weakref.WeakMethod``
-        wrappers, so an abandoned (never-stopped) frontend does not
-        stay alive through this thread; once the owner is gone the loop
-        exits instead of polling forever.
+        The frontend hands its execute hook over as a
+        ``weakref.WeakMethod`` wrapper, so an abandoned (never-stopped)
+        frontend does not stay alive through this thread; once the owner
+        is gone the loop exits instead of polling forever.
         """
         return _resolve_hook(self._execute) is None
 
@@ -376,14 +362,11 @@ class BatchScheduler:
 
     def _deliver(self, group, settled) -> None:
         """Route each settled outcome to its own future."""
-        on_result = _resolve_hook(self._on_result)
         for pending, outcome in zip(group, settled):
             latency = time.perf_counter() - pending.enqueued_at
             if outcome.ok:
                 if self._metrics is not None:
                     self._metrics.record_completed(latency, outcome.value)
-                if on_result is not None:
-                    on_result(pending, outcome.value)
                 pending.future.set_result(outcome.value)
             else:
                 if self._metrics is not None:

@@ -1,5 +1,7 @@
 """The staged query pipeline: stage structure, timing, settled batches."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,28 @@ class TestExecuteBatchSettled:
             index, user.encrypt_queries(database[:2] + 0.01, 5)
         )
         assert np.array_equal(settled[0].value.ids, reference[0].ids)
+
+    def test_wall_seconds_covers_the_batched_filter(self, monkeypatch):
+        """A brute-force batch is filtered by one GEMM pre-pass before
+        the per-query loop, each query carrying an equal share of it.
+        ``wall_seconds`` starts before that pre-pass, so it is never
+        less than the summed per-query filter times."""
+        rng = np.random.default_rng(41)
+        owner = DataOwner(8, beta=0.3, backend="bruteforce", rng=rng)
+        database = rng.standard_normal((200, 8)) * 2.0
+        index = owner.build_index(database)
+        user = QueryUser(owner.authorize_user(), rng=np.random.default_rng(42))
+        batch = user.encrypt_queries(database[:8] + 0.01, 5)
+        kernel = index.filter_search_batch
+
+        def slow_kernel(*args, **kwargs):
+            time.sleep(0.05)  # a pre-pass that outlasts the per-query loop
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(index, "filter_search_batch", slow_kernel)
+        results = execute_batch(index, batch)
+        assert results.filter_seconds >= 0.05  # the pre-pass ran
+        assert results.wall_seconds >= results.filter_seconds
 
     def test_dim_mismatch_raises(self, actors):
         index, _, _ = actors

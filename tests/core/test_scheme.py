@@ -82,12 +82,11 @@ class TestDeterminismAcrossInstances:
         assert np.array_equal(np.sort(ids_a), np.sort(ids_b))
 
 
-class TestMutationFlushScope:
-    """Mutations flush only frontends attached to the mutated index.
+class TestRefitScope:
+    """A re-``fit`` does not strand frontends built before it.
 
-    Regression test: insert/delete used to flush *every* tracked
-    frontend, including one created before a re-``fit`` that still
-    serves the old server object — whose cached answers stay valid.
+    A frontend created before a re-``fit`` still serves the old server
+    object; mutations through the facade touch only the new index.
     """
 
     def _scheme(self, small_dataset):
@@ -98,27 +97,23 @@ class TestMutationFlushScope:
             rng=np.random.default_rng(7),
         ).fit(small_dataset.database)
 
-    def test_stale_server_frontend_not_flushed(self, small_dataset):
+    def test_old_frontend_keeps_answering_over_the_old_server(self, small_dataset):
         scheme = self._scheme(small_dataset)
-        old_frontend = scheme.serve(cache_size=4)
+        old_server = scheme.server
+        old_frontend = scheme.serve()
         with old_frontend:
-            old_frontend.answer(
-                scheme.user.encrypt_query(small_dataset.queries[0], k=3),
-                timeout=30,
-            )
-            assert len(old_frontend.cache) == 1
+            query = scheme.user.encrypt_query(small_dataset.queries[0], k=3)
+            before = old_frontend.answer(query, timeout=30)
 
-            scheme.fit(small_dataset.database)  # old_frontend now serves a dead server
-            new_frontend = scheme.serve(cache_size=4)
-            with new_frontend:
+            scheme.fit(small_dataset.database)  # old_frontend keeps the old server
+            assert scheme.server is not old_server
+            with scheme.serve() as new_frontend:
                 new_frontend.answer(
                     scheme.user.encrypt_query(small_dataset.queries[1], k=3),
                     timeout=30,
                 )
-                assert len(new_frontend.cache) == 1
-
                 scheme.insert(small_dataset.database[0] + 0.5)
 
-                # Current-server frontend flushed; pre-re-fit one untouched.
-                assert len(new_frontend.cache) == 0
-                assert len(old_frontend.cache) == 1
+            assert old_frontend.server is old_server
+            after = old_frontend.answer(query, timeout=30)
+            assert np.array_equal(after.ids, before.ids)

@@ -1,8 +1,6 @@
 """Full deployment-lifecycle test: build -> persist -> reload -> maintain
 -> query, across the trust boundary, on a realistic-scale profile."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -17,12 +15,8 @@ from repro.hnsw.graph import HNSWParams
 
 def test_top_level_exports():
     assert repro.__version__ == "1.0.0"
-    with warnings.catch_warnings():
-        # Deprecated exports (SearchReport) warn on access by design;
-        # this test only checks that every export resolves.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        for name in repro.__all__:
-            assert getattr(repro, name, None) is not None, name
+    for name in repro.__all__:
+        assert getattr(repro, name, None) is not None, name
 
 
 def test_search_stats_merge():

@@ -324,8 +324,8 @@ class TestProtocolV2:
     @given(seed=seeds, n=ns, d=dims, mode=modes)
     @_SETTINGS
     def test_v2_matrices_are_byte_identical_to_v1(self, seed, n, d, mode):
-        """The dedup digest hinges on this: v2 only prepends envelope
-        bytes, so the ciphertext payload (and its digest) is unchanged."""
+        """v2 only prepends envelope bytes: the ciphertext payload is
+        the v1 layout, byte for byte."""
         batch = _make_batch(n, d, mode, seed)
         v1 = codec.encode_query_batch(batch)
         v2 = codec.encode_query_batch_v2(batch, 1234)

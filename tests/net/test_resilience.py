@@ -253,7 +253,7 @@ class TestClientRetries:
                     # A server hint floors the jittered draw.
                     assert client._backoff_delay(0, 5.0) == 5.0
 
-    def test_torn_connection_is_retried_and_dedups(self, actors, monkeypatch):
+    def test_torn_connection_is_retried(self, actors, monkeypatch):
         """Tear the connection at the first QUERY frame: the client must
         reconnect, re-send byte-identical ciphertexts, and succeed —
         with the recorded sleep schedule, not a real wait."""
@@ -277,7 +277,7 @@ class TestClientRetries:
         def recorded_sleep(delay):
             slept.append(delay)
             time.sleep(0.05)  # yield so the reader notices the teardown
-        with server.serving_frontend(cache_size=32) as frontend:
+        with server.serving_frontend() as frontend:
             with NetServer(frontend, [TenantConfig(key_id)]) as net:
                 host, port = net.address
                 with NetClient(
@@ -295,10 +295,10 @@ class TestClientRetries:
                     assert client.retry_count >= 1
                     assert len(slept) == client.retry_count
                     assert len(dialed) >= 2  # reconnected
-                    # Second identical send dedups server-side.
+                    # Re-sending the same ciphertext is safe: a query is
+                    # a read, so it runs again to the same answer.
                     again = client.answer(query, timeout=_TIMEOUT)
                     assert np.array_equal(again.ids, expected.ids)
-            assert frontend.metrics.snapshot().cache_hits >= 1
 
     def test_deadline_error_is_not_retried(self, actors):
         server, user, database, key_id = actors

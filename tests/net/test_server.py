@@ -234,6 +234,20 @@ class TestStatsMessage:
         assert "queue_depth" in stats
         assert stats["frontend"]["completed"] >= 3
 
+    def test_stats_cache_hits_is_a_constant_zero(self, loopback):
+        """The end-to-end benchmark reads ``frontend.cache_hits`` from
+        STATS: the field stays on the wire and reads 0, even for a
+        repeated ciphertext."""
+        net, server, user, database, key_id = loopback
+        host, port = net.address
+        query = user.encrypt_query(database[4] + 0.01, 3)
+        with NetClient(host, port, key_id, token="s3cret") as client:
+            client.answer(query, timeout=_TIMEOUT)
+            client.answer(query, timeout=_TIMEOUT)
+            stats = client.stats(timeout=_TIMEOUT)
+        assert stats["frontend"]["cache_hits"] == 0
+        assert stats["frontend"]["completed"] >= 2
+
 
 class TestMultiTenant:
     def test_two_tenants_serve_concurrently(self, actors):

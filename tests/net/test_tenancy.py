@@ -169,7 +169,7 @@ class TestChannel:
         query = user.encrypt_query(database[0] + 0.01, 3)
         registry = TenantRegistry([TenantConfig(key_id, max_in_flight=1)])
         frontend = ServingFrontend(
-            server, refine_engine=_AlwaysFailEngine()
+            CloudServer(server.index, refine_engine=_AlwaysFailEngine())
         )
         with frontend:
             channel = TenantAdmission(frontend, registry).channel(key_id)

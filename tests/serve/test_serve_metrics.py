@@ -44,10 +44,6 @@ class TestServerMetrics:
         metrics.record_admitted(queue_depth=1)
         metrics.record_admitted(queue_depth=3)
         metrics.record_rejected()
-        metrics.record_cache_hit()
-        metrics.record_cache_miss()
-        metrics.record_cache_miss()
-        metrics.record_cache_insert()
         metrics.record_batch(2)
         metrics.record_completed(0.010, _result())
         metrics.record_failed(0.020)
@@ -56,9 +52,7 @@ class TestServerMetrics:
         assert snap.completed == 1
         assert snap.failed == 1
         assert snap.rejected == 1
-        assert snap.cache_hits == 1
-        assert snap.cache_misses == 2
-        assert snap.cache_inserts == 1
+        assert snap.cache_hits == 0
         assert snap.batches == 1
         assert snap.max_queue_depth == 3
 
@@ -109,15 +103,11 @@ class TestServerMetrics:
         metrics.record_admitted(5)
         metrics.record_completed(0.001, _result())
         metrics.record_batch(3)
-        metrics.record_cache_miss()
-        metrics.record_cache_insert()
         metrics.reset()
         snap = metrics.snapshot()
         assert snap.submitted == 0
         assert snap.completed == 0
         assert snap.batches == 0
-        assert snap.cache_misses == 0
-        assert snap.cache_inserts == 0
         assert snap.latency_p50 == 0.0
         assert snap.stage_seconds == {}
 
@@ -133,7 +123,7 @@ class TestServerMetrics:
         # Histogram keys stringify for JSON; stage split rides along.
         assert payload["batch_size_histogram"] == {"2": 1}
         assert set(payload["stage_seconds"]) == {"filter", "mask", "refine"}
-        assert {"cache_hits", "cache_misses", "cache_inserts"} <= set(payload)
+        assert payload["cache_hits"] == 0
         import json
 
         json.dumps(payload)

@@ -596,36 +596,6 @@ class TestResilienceFlags:
         assert payload["client_retries"] == 0  # healthy run: no retries
 
 
-class TestWorkload:
-    def test_workload_json(self, capsys):
-        code = main(
-            [
-                "workload",
-                "-n", "200",
-                "--queries", "8",
-                "--backend", "bruteforce",
-                "--beta", "0.5",
-                "--max-batch", "4",
-                "--json",
-                "--seed", "3",
-            ]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["ids_match"] is True
-        assert payload["sequential_qps"] > 0
-        assert payload["served_qps"] > 0
-        assert payload["metrics"]["completed"] == 8
-
-    def test_workload_human_summary(self, capsys):
-        code = main(
-            ["workload", "-n", "150", "--queries", "4",
-             "--backend", "bruteforce", "--beta", "0.5", "--seed", "3"]
-        )
-        assert code == 0
-        assert "ids match" in capsys.readouterr().out
-
-
 class TestDemo:
     def test_demo_runs(self, capsys):
         code = main(
