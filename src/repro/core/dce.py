@@ -539,18 +539,29 @@ class DCEScheme:
     # -- phase 2: vector transformation (Equations 8-16) ----------------------
 
     def _transform_database(self, bar_vectors: np.ndarray) -> np.ndarray:
-        """``(n, d+8)`` bar-vectors -> ``(n, 4, 2d+16)`` ciphertext components."""
+        """``(n, d+8)`` bar-vectors -> ``(n, 4, 2d+16)`` ciphertext components.
+
+        Component ``i`` is ``r_p * (bar @ M + (-1)^i) / kv_i`` with ``M``
+        the upper rows of ``M3`` for components 0-1 and the lower rows for
+        2-3.  Every step writes into the returned array (each projection
+        lands in its odd slot and the even slot is derived from it), so
+        the peak is ``components`` plus the one bar array.  The operations
+        and their order are those of the out-of-place expression, so the
+        ciphertexts are bit-identical to it.
+        """
         key = self._key
         n = bar_vectors.shape[0]
-        ones = 1.0
-        projected_up = bar_vectors @ key.m_up
-        projected_down = bar_vectors @ key.m_down
         r_p = self._draw_randomizers((n, 1))
         components = np.empty((n, 4, key.ciphertext_dim))
-        components[:, 0] = r_p * (projected_up + ones) / key.kv1
-        components[:, 1] = r_p * (projected_up - ones) / key.kv2
-        components[:, 2] = r_p * (projected_down + ones) / key.kv3
-        components[:, 3] = r_p * (projected_down - ones) / key.kv4
+        for even, m in ((0, key.m_up), (2, key.m_down)):
+            odd = components[:, even + 1]
+            np.matmul(bar_vectors, m, out=odd)
+            np.add(odd, 1.0, out=components[:, even])
+            np.subtract(odd, 1.0, out=odd)
+        for slot, kv in enumerate((key.kv1, key.kv2, key.kv3, key.kv4)):
+            part = components[:, slot]
+            np.multiply(r_p, part, out=part)
+            np.divide(part, kv, out=part)
         return components
 
     # -- public API -----------------------------------------------------------

@@ -51,14 +51,22 @@ def pairwise_squared_distances(
     (the expansion can go slightly negative in floats).  ``b_norms`` lets
     callers that sweep many query batches against one fixed matrix cache
     the per-row ``||b||^2`` term (shape ``(m,)``).
+
+    Every step after the GEMM runs in place on its result, so the peak is
+    one ``(n, m)`` array; the operations and their order are those of
+    ``max(a_norms - 2 * (a @ b.T) + b_norms, 0)``, so the values are
+    bit-identical to that expression.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     a_norms = np.einsum("ij,ij->i", a, a)[:, None]
     if b_norms is None:
         b_norms = np.einsum("ij,ij->i", b, b)
-    cross = a @ b.T
-    return np.maximum(a_norms - 2.0 * cross + b_norms[None, :], 0.0)
+    out = a @ b.T
+    np.multiply(out, 2.0, out=out)
+    np.subtract(a_norms, out, out=out)
+    np.add(out, b_norms[None, :], out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def gemm_topk_preselect(approx_row, kk, exact_for, candidate_cap=None):

@@ -1,5 +1,7 @@
 """DCE tests: every Section IV identity, exactness, security surface."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -353,3 +355,59 @@ class TestCiphertextRandomness:
             t = scheme.trapdoor(q)
             z = distance_comp(db[0], db[1], t)
             assert (z < 0) == (dists[0] < dists[1])
+
+
+def _reference_transform(scheme, bar_vectors):
+    """The out-of-place form of ``_transform_database``, term by term."""
+    key = scheme.key
+    n = bar_vectors.shape[0]
+    projected_up = bar_vectors @ key.m_up
+    projected_down = bar_vectors @ key.m_down
+    r_p = scheme._draw_randomizers((n, 1))
+    components = np.empty((n, 4, key.ciphertext_dim))
+    components[:, 0] = r_p * (projected_up + 1.0) / key.kv1
+    components[:, 1] = r_p * (projected_up - 1.0) / key.kv2
+    components[:, 2] = r_p * (projected_down + 1.0) / key.kv3
+    components[:, 3] = r_p * (projected_down - 1.0) / key.kv4
+    return components
+
+
+class TestInPlaceTransform:
+    """The in-place transform writes the out-of-place expression's bits."""
+
+    @pytest.mark.parametrize("n,d", [(1, 7), (33, 2), (1000, 96), (257, 100)])
+    def test_encrypt_database_bit_identical(self, n, d):
+        database = np.random.default_rng(n + d).standard_normal((n, d)) * 3.0
+        scheme = DCEScheme(d, rng=np.random.default_rng(9))
+        twin = DCEScheme(d, rng=np.random.default_rng(9))
+        got = scheme.encrypt_database(database).components
+        bar = twin._randomize_database(twin._pad(database))
+        expected = _reference_transform(twin, bar)
+        assert got.shape == (n, 4, 2 * twin.key.dim + 16)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("d", [7, 2, 96, 100])
+    def test_encrypt_bit_identical(self, d):
+        vector = np.random.default_rng(d).standard_normal(d) * 3.0
+        scheme = DCEScheme(d, rng=np.random.default_rng(10))
+        twin = DCEScheme(d, rng=np.random.default_rng(10))
+        got = scheme.encrypt(vector).components
+        bar = twin._randomize_database(twin._pad(vector)[np.newaxis])
+        expected = _reference_transform(twin, bar)[0]
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_encrypt_database_peak_memory(self):
+        # The in-place transform peaks at the returned array plus one
+        # (n, d+8) bar; the out-of-place form peaked at about 2.1x.
+        n, d = 4000, 64
+        database = np.random.default_rng(4).standard_normal((n, d))
+        scheme = DCEScheme(d, rng=np.random.default_rng(11))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            encrypted = scheme.encrypt_database(database)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * encrypted.components.nbytes

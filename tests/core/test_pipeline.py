@@ -178,3 +178,46 @@ class TestExecuteBatchSettled:
         batch = stranger.encrypt_queries(np.zeros((2, 5)), 3)
         with pytest.raises(ParameterError, match="dimension"):
             execute_batch_settled(index, batch)
+
+
+class TestBatchedPrePassRaisesNothing:
+    """``execute_batch_settled`` falls back to the per-query path when
+    the batched filter pre-pass raises, and the fallback returns the same
+    ids, so comparing ids alone cannot see a pre-pass that always fails.
+    Here every backend's pre-pass must run exactly once and return."""
+
+    @pytest.mark.parametrize(
+        "backend,shards",
+        [
+            ("bruteforce", None),
+            ("ivf", None),
+            ("hnsw", None),
+            ("nsg", None),
+            ("bruteforce", 2),
+        ],
+    )
+    def test_pre_pass_runs_once_without_raising(self, backend, shards, monkeypatch):
+        rng = np.random.default_rng(51)
+        owner = DataOwner(
+            8, beta=0.3, hnsw_params=FAST_HNSW, backend=backend, shards=shards, rng=rng
+        )
+        database = rng.standard_normal((200, 8)) * 2.0
+        index = owner.build_index(database)
+        user = QueryUser(owner.authorize_user(), rng=np.random.default_rng(52))
+        batch = user.encrypt_queries(database[:6] + 0.01, 5)
+        kernel = index.filter_search_batch
+        calls, errors = [], []
+
+        def recording_kernel(*args, **kwargs):
+            calls.append(len(args[0]))
+            try:
+                return kernel(*args, **kwargs)
+            except Exception as exc:
+                errors.append(exc)
+                raise
+
+        monkeypatch.setattr(index, "filter_search_batch", recording_kernel)
+        settled, _, _ = execute_batch_settled(index, batch)
+        assert errors == []
+        assert calls == [6]
+        assert all(outcome.ok for outcome in settled)

@@ -1,5 +1,7 @@
 """Distance kernel tests."""
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,3 +63,75 @@ class TestBatchKernels:
 
     def test_mac_count(self):
         assert distance_mac_count(128) == 128
+
+
+def _reference_pairwise(a, b, b_norms=None):
+    """The out-of-place form of ``pairwise_squared_distances``."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    a_norms = np.einsum("ij,ij->i", a, a)[:, None]
+    if b_norms is None:
+        b_norms = np.einsum("ij,ij->i", b, b)
+    cross = a @ b.T
+    return np.maximum(a_norms - 2.0 * cross + b_norms[None, :], 0.0)
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+class TestPairwiseInPlace:
+    """The in-place kernel writes the out-of-place expression's bits."""
+
+    def test_self_pairwise(self):
+        a = np.random.default_rng(3).standard_normal((40, 12))
+        assert _same_bits(pairwise_squared_distances(a, a), _reference_pairwise(a, a))
+
+    def test_with_and_without_cached_norms(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((17, 9))
+        b = rng.standard_normal((23, 9))
+        norms = np.einsum("ij,ij->i", b, b)
+        assert _same_bits(pairwise_squared_distances(a, b), _reference_pairwise(a, b))
+        assert _same_bits(
+            pairwise_squared_distances(a, b, b_norms=norms),
+            _reference_pairwise(a, b, b_norms=norms),
+        )
+
+    def test_duplicated_rows_hit_the_clip(self):
+        rng = np.random.default_rng(5)
+        a = np.repeat(rng.standard_normal((8, 6)) * 1e4, 3, axis=0)
+        norms = np.einsum("ij,ij->i", a, a)
+        assert np.any(norms[:, None] - 2.0 * (a @ a.T) + norms[None, :] < 0.0)
+        expected = _reference_pairwise(a, a)
+        got = pairwise_squared_distances(a, a)
+        assert _same_bits(got, expected)
+        assert np.all(got >= 0.0)
+
+    def test_float32_input(self):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((11, 7)).astype(np.float32)
+        b = rng.standard_normal((5, 7)).astype(np.float32)
+        got = pairwise_squared_distances(a, b)
+        assert got.dtype == np.float64
+        assert _same_bits(got, _reference_pairwise(a, b))
+
+    def test_single_row_and_single_column(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((1, 10))
+        b = rng.standard_normal((30, 10))
+        assert _same_bits(pairwise_squared_distances(a, b), _reference_pairwise(a, b))
+        assert _same_bits(pairwise_squared_distances(b, a), _reference_pairwise(b, a))
+
+    def test_peak_memory_is_one_result(self):
+        n = 1500
+        x = np.random.default_rng(8).standard_normal((n, 16))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            pairwise_squared_distances(x, x)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * n * n * 8
