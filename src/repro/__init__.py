@@ -61,7 +61,6 @@ from repro.core import (
     build_backend,
     build_sharded_index,
     execute_batch,
-    filter_and_refine,
 )
 from repro.hnsw import HNSWIndex, HNSWParams
 from repro.serve import BatchScheduler, QueueFullError, ServerMetrics, ServingFrontend
@@ -91,7 +90,6 @@ __all__ = [
     "FilterBackend",
     "available_backends",
     "build_backend",
-    "filter_and_refine",
     "execute_batch",
     "HNSWIndex",
     "HNSWParams",

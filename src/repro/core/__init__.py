@@ -15,14 +15,13 @@ Public API:
 * :mod:`repro.core.backends` — the :class:`FilterBackend` protocol and
   the HNSW / NSG / IVF / brute-force adapters (Section V-A's
   substitutability remark).
-* :func:`repro.core.search.filter_and_refine` — Algorithm 2, run as
-  the staged pipeline :data:`repro.core.search.PIPELINE_STAGES`
-  (resolve → filter → mask → refine → respond over a
-  :class:`PipelineContext`); :func:`repro.core.search.execute_batch` —
-  the amortized batch path (per-batch setup once, then each query in
-  turn), with
-  :func:`repro.core.search.execute_batch_settled` as the per-query
-  settled form the online serving layer (:mod:`repro.serve`) consumes.
+* :func:`repro.core.search.execute_batch` — Algorithm 2, run as the
+  staged pipeline :data:`repro.core.search.PIPELINE_STAGES` (resolve →
+  filter → mask → refine → respond over a :class:`PipelineContext`)
+  for each query of a batch after the per-batch setup; a single query
+  is a batch of one.  :func:`repro.core.search.execute_batch_settled`
+  is the per-query settled form the online serving layer
+  (:mod:`repro.serve`) consumes.
 * :mod:`repro.core.refine` — pluggable refine engines behind the
   :class:`RefineEngine` protocol: the ``heap`` comparison-oracle
   reference and the batched ``vectorized`` default.
@@ -114,8 +113,6 @@ from repro.core.search import (
     PipelineContext,
     execute_batch,
     execute_batch_settled,
-    filter_and_refine,
-    filter_only,
     run_pipeline,
 )
 from repro.core.sharding import (
@@ -162,8 +159,6 @@ __all__ = [
     "BACKENDS",
     "available_backends",
     "build_backend",
-    "filter_and_refine",
-    "filter_only",
     "execute_batch",
     "execute_batch_settled",
     "PipelineContext",

@@ -136,7 +136,7 @@ class SearchRequest:
         return self.ratio_k * self.k
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class EncryptedQuery:
     """One encrypted query message: ``(C_SAP(q), T_q, request)`` (Figure 1).
 
@@ -153,24 +153,6 @@ class EncryptedQuery:
     sap_vector: np.ndarray
     trapdoor: DCETrapdoor
     request: SearchRequest
-
-    def __init__(
-        self,
-        sap_vector: np.ndarray,
-        trapdoor: DCETrapdoor,
-        request: SearchRequest | None = None,
-        k: int | None = None,
-    ) -> None:
-        # Seed callers passed a bare ``k``; fold it into a SearchRequest.
-        if request is None:
-            if k is None:
-                raise ParameterError("EncryptedQuery needs a request (or legacy k)")
-            request = SearchRequest(k=k)
-        elif k is not None:
-            raise ParameterError("pass either a request or a legacy k, not both")
-        object.__setattr__(self, "sap_vector", sap_vector)
-        object.__setattr__(self, "trapdoor", trapdoor)
-        object.__setattr__(self, "request", request)
 
     @property
     def k(self) -> int:

@@ -20,7 +20,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from repro.core.protocol import (
     SearchResultBatch,
 )
 from repro.core.refine import RefineEngine, get_refine_engine
-from repro.core.search import execute_batch, filter_and_refine, filter_only
+from repro.core.search import execute_batch
 from repro.core.sharding import (
     SHARD_STRATEGIES,
     ShardedEncryptedIndex,
@@ -441,9 +441,6 @@ class CloudServer:
         """
         return 1 if mode == "filter_only" else self._default_ratio_k
 
-    # Backward-compatible private spelling.
-    _default_ratio_for = default_ratio_for
-
     def compact(self, rng: "np.random.Generator | None" = None):
         """Drop tombstones from the stored index's filter structures.
 
@@ -489,10 +486,11 @@ class CloudServer:
     ) -> SearchResult | SearchResultBatch:
         """Run Algorithm 2 for one encrypted query or a whole batch.
 
-        A batch amortizes parameter resolution, the key check and
-        liveness filtering across its queries, which then run one after
-        another; its results are element-wise identical to answering
-        each query individually.  ``refine_engine`` /
+        A single query is answered as a batch of one, so both forms run
+        :func:`~repro.core.search.execute_batch`; a batch amortizes
+        parameter resolution, the key check and liveness filtering
+        across its queries, and its results are element-wise identical
+        to answering each query alone.  ``refine_engine`` /
         ``filter_engine`` override the server's configured engines for
         this call (``filter_engine`` applies to every mode — the filter
         phase always runs).
@@ -502,47 +500,22 @@ class CloudServer:
                 "refine_engine has no effect on a filter_only request "
                 "(the refine phase is skipped entirely)"
             )
-        engine = (
-            self._refine_engine
-            if refine_engine is None
-            else get_refine_engine(refine_engine)
-        )
-        fengine = (
-            self._filter_engine
-            if filter_engine is None
-            else get_filter_engine(filter_engine)
-        )
-        if isinstance(query, EncryptedQueryBatch):
-            return execute_batch(
-                self._index,
-                query,
-                default_ratio_k=self._default_ratio_for(query.request.mode),
-                ratio_k=ratio_k,
-                ef_search=ef_search,
-                refine_engine=engine,
-                filter_engine=fengine,
-            )
-        request = query.request.resolve(
-            self._default_ratio_for(query.request.mode),
+        single = isinstance(query, EncryptedQuery)
+        batch = EncryptedQueryBatch.from_queries([query]) if single else query
+        results = execute_batch(
+            self._index,
+            batch,
+            default_ratio_k=self.default_ratio_for(batch.request.mode),
             ratio_k=ratio_k,
             ef_search=ef_search,
+            refine_engine=(
+                self._refine_engine if refine_engine is None else refine_engine
+            ),
+            filter_engine=(
+                self._filter_engine if filter_engine is None else filter_engine
+            ),
         )
-        if request.mode == "filter_only":
-            return filter_only(
-                self._index,
-                query,
-                ef_search=request.ef_search,
-                k_prime=request.k_prime,
-                filter_engine=fengine,
-            )
-        return filter_and_refine(
-            self._index,
-            query,
-            k_prime=request.k_prime,
-            ef_search=request.ef_search,
-            refine_engine=engine,
-            filter_engine=fengine,
-        )
+        return results[0] if single else results
 
     def answer_filter_only(
         self,
@@ -551,18 +524,28 @@ class CloudServer:
         k_prime: int | None = None,
         filter_engine: "str | FilterEngine | None" = None,
     ) -> SearchResult:
-        """Filter phase only (the paper's HNSW(filter) reference method)."""
-        fengine = (
-            self._filter_engine
-            if filter_engine is None
-            else get_filter_engine(filter_engine)
-        )
-        return filter_only(
-            self._index,
-            query,
+        """Filter phase only (the paper's HNSW(filter) reference method).
+
+        Answers ``query`` as a ``filter_only`` batch of one with
+        ``k' = k_prime`` (``k' = k`` when omitted) and the given
+        ``ef_search``, whatever ``ratio_k`` / ``ef_search`` the query
+        itself carries.  ``k_prime`` must be a positive multiple of
+        ``k``, because ``k' = ratio_k * k``; anything else raises
+        :class:`ParameterError`.
+        """
+        k = query.k
+        if k_prime is not None and (k_prime < k or k_prime % k):
+            raise ParameterError(
+                f"k' ({k_prime}) must be a positive multiple of k ({k})"
+            )
+        request = SearchRequest(
+            k=k,
+            ratio_k=1 if k_prime is None else k_prime // k,
             ef_search=ef_search,
-            k_prime=k_prime,
-            filter_engine=fengine,
+            mode="filter_only",
+        )
+        return self.answer(
+            replace(query, request=request), filter_engine=filter_engine
         )
 
     def answer_batch(

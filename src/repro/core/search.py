@@ -38,23 +38,23 @@ Total server cost: ``O(d (log n + k' log k))`` per query (Section V-C).
 The ``k'`` knob trades accuracy for refine cost (Figure 5); ``beta``
 bounds the filter phase's candidate quality (Figure 4).
 
-The batch entry point is :func:`execute_batch`: parameter resolution,
-engine resolution, the key check, and liveness-mask construction happen
-once per batch, and the queries then run **one after another on the
-calling thread**.  The graph walks and refine scans hold the GIL, so a
-thread per query made them slower, not faster: on a 2-core host, traced
-refine time on the ``batch_bruteforce_inproc`` benchmark fell from 399
-to 294 µs/query once the fan-out went.  Parallelism comes from the
-batched filter kernels and the shard scatter.
+The entry point is :func:`execute_batch`, and a single query is a batch
+of one (``CloudServer.answer`` wraps it with
+``EncryptedQueryBatch.from_queries``).  Parameter resolution, engine
+resolution, the key check, and liveness-mask construction happen once
+per batch, and the queries then run **one after another on the calling
+thread**.  The graph walks and refine scans hold the GIL, so a thread
+per query made them slower, not faster: on a 2-core host, traced refine
+time on the ``batch_bruteforce_inproc`` benchmark fell from 399 to 294
+µs/query once the fan-out went.  Parallelism comes from the batched
+filter kernels and the shard scatter.
 Results come back in query order and a failing query neither kills nor
 reorders its siblings (the first failure by query position is re-raised
 after every query ran).  :func:`execute_batch_settled` is the no-raise
 form the online serving layer (:mod:`repro.serve`) consumes: each query
 settles independently to its result or its exception, so a
 scheduler-formed micro-batch can deliver per-query failures to
-per-query futures without discarding sibling answers.  The seed-era
-:func:`filter_and_refine` / :func:`filter_only` signatures remain as
-thin wrappers over the same pipeline.
+per-query futures without discarding sibling answers.
 
 The engine is index-shape agnostic: it calls ``index.filter_search``, so
 a monolithic :class:`~repro.core.index.EncryptedIndex` answers from its
@@ -99,8 +99,6 @@ __all__ = [
     "PipelineContext",
     "PIPELINE_STAGES",
     "run_pipeline",
-    "filter_and_refine",
-    "filter_only",
     "execute_batch",
     "execute_batch_settled",
 ]
@@ -267,43 +265,6 @@ def run_pipeline(ctx: PipelineContext) -> SearchResult:
     return ctx.result
 
 
-def _run_single(
-    index: "EncryptedIndex | ShardedEncryptedIndex",
-    sap_vector: np.ndarray,
-    trapdoor: DCETrapdoor,
-    request: SearchRequest,
-    k_prime: int,
-    live_mask: np.ndarray,
-    engine: RefineEngine,
-    filter_engine: FilterEngine,
-    prefiltered: tuple | None = None,
-) -> SearchResult:
-    """One query through the staged pipeline; parameters are pre-resolved."""
-    return run_pipeline(
-        PipelineContext(
-            index=index,
-            sap_vector=sap_vector,
-            trapdoor=trapdoor,
-            request=request,
-            k_prime=k_prime,
-            live_mask=live_mask,
-            engine=engine,
-            filter_engine=filter_engine,
-            prefiltered=prefiltered,
-        )
-    )
-
-
-def _check_query_dim(
-    index: "EncryptedIndex | ShardedEncryptedIndex", sap: np.ndarray, what: str
-) -> None:
-    if sap.shape[-1] != index.dim:
-        raise ParameterError(
-            f"{what} has dimension {sap.shape[-1]}, but the index holds "
-            f"{index.dim}-dimensional ciphertexts"
-        )
-
-
 def _resolve_batch(
     index: "EncryptedIndex | ShardedEncryptedIndex",
     batch: EncryptedQueryBatch,
@@ -313,7 +274,11 @@ def _resolve_batch(
     mode: str | None,
 ) -> SearchRequest:
     """The once-per-batch work: dim check, request resolution, key check."""
-    _check_query_dim(index, batch.sap_vectors, "query batch")
+    if batch.dim != index.dim:
+        raise ParameterError(
+            f"query batch has dimension {batch.dim}, but the index holds "
+            f"{index.dim}-dimensional ciphertexts"
+        )
     request = batch.request.resolve(
         default_ratio_k, ratio_k=ratio_k, ef_search=ef_search, mode=mode
     )
@@ -365,8 +330,8 @@ def execute_batch_settled(
     while the siblings' answers are delivered normally.
 
     Batch-level validation (dimension, trapdoor presence, key check)
-    still raises directly — those failures poison every query in the
-    batch equally.
+    and the batched filter pre-pass still raise directly — those
+    failures poison every query in the batch equally.
 
     Returns ``(settled, wall_seconds, request)`` where ``wall_seconds``
     is the batch's start-to-finish wall clock — the batched filter
@@ -394,41 +359,38 @@ def execute_batch_settled(
         and _wants_batched_kernel(index)
     ):
         # Batched filter pre-pass: one GEMM kernel answers every query's
-        # filter phase (bit-identical to the per-query path); the stage
-        # pipeline then consumes the precomputed candidates.  Any
-        # failure here falls back to the per-query path, which settles
-        # the error per query instead of poisoning the batch.
+        # filter phase (bit-identical to filtering each query alone); the
+        # stage pipeline then consumes the precomputed candidates.  A
+        # failure here is a batch-level error, like the key check.
         resolved_ef = resolve_ef_search(request.ef_search, k_prime)
         stats_list = [SearchStats() for _ in range(len(batch))]
         pre_start = time.perf_counter()
-        try:
-            rows = index.filter_search_batch(
-                batch.sap_vectors,
-                k_prime,
-                ef_search=resolved_ef,
-                stats_list=stats_list,
-                engine=fengine,
-            )
-        except Exception:
-            prefiltered = None
-        else:
-            share = (time.perf_counter() - pre_start) / len(batch)
-            prefiltered = [
-                (ids, dists, timings, stats_list[i], share)
-                for i, (ids, dists, timings) in enumerate(rows)
-            ]
+        rows = index.filter_search_batch(
+            batch.sap_vectors,
+            k_prime,
+            ef_search=resolved_ef,
+            stats_list=stats_list,
+            engine=fengine,
+        )
+        share = (time.perf_counter() - pre_start) / len(batch)
+        prefiltered = [
+            (ids, dists, timings, stats_list[i], share)
+            for i, (ids, dists, timings) in enumerate(rows)
+        ]
 
     def run_query(i: int) -> SearchResult:
-        return _run_single(
-            index,
-            batch.sap_vectors[i],
-            DCETrapdoor(batch.trapdoor_vectors[i], key_id),
-            request,
-            k_prime,
-            live_mask,
-            engine,
-            fengine,
-            prefiltered=None if prefiltered is None else prefiltered[i],
+        return run_pipeline(
+            PipelineContext(
+                index=index,
+                sap_vector=batch.sap_vectors[i],
+                trapdoor=DCETrapdoor(batch.trapdoor_vectors[i], key_id),
+                request=request,
+                k_prime=k_prime,
+                live_mask=live_mask,
+                engine=engine,
+                filter_engine=fengine,
+                prefiltered=None if prefiltered is None else prefiltered[i],
+            )
         )
 
     settled = [Settled.capture(run_query, i) for i in range(len(batch))]
@@ -478,89 +440,3 @@ def execute_batch(
     results = [outcome.unwrap() for outcome in settled]
     return SearchResultBatch(results, request=request, wall_seconds=wall_seconds)
 
-
-def filter_only(
-    index: "EncryptedIndex | ShardedEncryptedIndex",
-    query: EncryptedQuery,
-    ef_search: int | None = None,
-    k_prime: int | None = None,
-    filter_engine: "str | FilterEngine | None" = None,
-) -> SearchResult:
-    """The filter phase alone — the paper's ``HNSW(filter)`` reference.
-
-    Runs k'-ANNS on the encrypted filter backend and returns the top-k of
-    the candidates *by approximate distance*, skipping DCE entirely.
-    Used by Figure 4 (beta tuning) and as the Figure 6 lower bound.
-    """
-    k_prime = k_prime if k_prime is not None else query.k
-    if k_prime < query.k:
-        raise ParameterError(f"k' ({k_prime}) must be >= k ({query.k})")
-    _check_query_dim(index, query.sap_vector, "query")
-    request = SearchRequest(k=query.k, ef_search=ef_search, mode="filter_only")
-    return _run_single(
-        index,
-        query.sap_vector,
-        query.trapdoor,
-        request,
-        k_prime,
-        index.live_mask(),
-        get_refine_engine(None),
-        get_filter_engine(filter_engine),
-    )
-
-
-def filter_and_refine(
-    index: "EncryptedIndex | ShardedEncryptedIndex",
-    query: EncryptedQuery,
-    k_prime: int,
-    ef_search: int | None = None,
-    refine_engine: "str | RefineEngine | None" = None,
-    filter_engine: "str | FilterEngine | None" = None,
-) -> SearchResult:
-    """Algorithm 2: k'-ANNS filter on the encrypted backend, DCE refine.
-
-    Parameters
-    ----------
-    index:
-        The server's encrypted index.
-    query:
-        The encrypted query pair.
-    k_prime:
-        Filter-phase candidate count ``k' >= k`` (``Ratio_k * k`` in the
-        paper's parameterization).
-    ef_search:
-        Filter-phase beam width; values below ``k'`` are raised to ``k'``
-        (see :func:`repro.core.protocol.resolve_ef_search`).
-    refine_engine:
-        Refine-stage engine name or instance (``None`` = the default
-        ``vectorized`` engine; see :mod:`repro.core.refine`).
-    filter_engine:
-        Filter-stage engine name or instance (``None`` = the default
-        ``vectorized`` engine; see :mod:`repro.core.filterengine`).
-
-    Returns
-    -------
-    SearchResult
-        The k result ids plus full phase instrumentation.
-    """
-    if k_prime < query.k:
-        raise ParameterError(f"k' ({k_prime}) must be >= k ({query.k})")
-    _check_query_dim(index, query.sap_vector, "query")
-    if query.trapdoor.ciphertext_dim == 0:
-        raise ParameterError(
-            "query carries no trapdoor (encrypted for filter_only mode); "
-            "re-encrypt with mode='full' to refine"
-        )
-    if query.trapdoor.key_id != index.dce_database.key_id:
-        raise KeyMismatchError("query trapdoor does not match the index's DCE key")
-    request = SearchRequest(k=query.k, ef_search=ef_search, mode="full")
-    return _run_single(
-        index,
-        query.sap_vector,
-        query.trapdoor,
-        request,
-        k_prime,
-        index.live_mask(),
-        get_refine_engine(refine_engine),
-        get_filter_engine(filter_engine),
-    )

@@ -181,10 +181,9 @@ class TestExecuteBatchSettled:
 
 
 class TestBatchedPrePassRaisesNothing:
-    """``execute_batch_settled`` falls back to the per-query path when
-    the batched filter pre-pass raises, and the fallback returns the same
-    ids, so comparing ids alone cannot see a pre-pass that always fails.
-    Here every backend's pre-pass must run exactly once and return."""
+    """A batched filter pre-pass that raises is a batch-level error in
+    ``execute_batch_settled``, so every backend's pre-pass must run
+    exactly once and return on a valid batch."""
 
     @pytest.mark.parametrize(
         "backend,shards",
@@ -221,3 +220,18 @@ class TestBatchedPrePassRaisesNothing:
         assert errors == []
         assert calls == [6]
         assert all(outcome.ok for outcome in settled)
+
+    def test_pre_pass_error_raises_for_the_batch(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        owner = DataOwner(8, beta=0.3, backend="bruteforce", rng=rng)
+        database = rng.standard_normal((50, 8)) * 2.0
+        index = owner.build_index(database)
+        user = QueryUser(owner.authorize_user(), rng=np.random.default_rng(54))
+        batch = user.encrypt_queries(database[:4] + 0.01, 5)
+
+        def failing_kernel(*args, **kwargs):
+            raise RuntimeError("pre-pass failed")
+
+        monkeypatch.setattr(index, "filter_search_batch", failing_kernel)
+        with pytest.raises(RuntimeError, match="pre-pass failed"):
+            execute_batch_settled(index, batch)

@@ -14,7 +14,7 @@ from repro.core.protocol import (
     SearchResultBatch,
     resolve_ef_search,
 )
-from repro.core.search import filter_and_refine, filter_only
+from repro.core.roles import CloudServer
 from repro.hnsw.graph import SearchStats
 
 
@@ -67,18 +67,15 @@ class TestEfSearchClamp:
         assert resolve_ef_search(None, 40) is None
 
     def test_both_modes_clamp_identically(self, fitted_scheme, small_dataset):
-        """Regression: filter_only used to pass ef_search through unclamped
-        while filter_and_refine raised it to k'; both must clamp now."""
+        """Regression: the filter-only path used to pass ef_search through
+        unclamped while the full path raised it to k'; both must clamp now."""
         encrypted = fitted_scheme.user.encrypt_query(small_dataset.queries[0], 10)
         # ef_search=10 < k'=40 would make the graph search raise
         # (ef < k') were it not clamped; both paths must succeed and
         # return k results.
-        full = filter_and_refine(
-            fitted_scheme.server.index, encrypted, k_prime=40, ef_search=10
-        )
-        filt = filter_only(
-            fitted_scheme.server.index, encrypted, k_prime=40, ef_search=10
-        )
+        server = CloudServer(fitted_scheme.server.index)
+        full = server.answer(encrypted, ratio_k=4, ef_search=10)
+        filt = server.answer_filter_only(encrypted, k_prime=40, ef_search=10)
         assert full.ids.shape[0] == 10
         assert filt.ids.shape[0] == 10
 
@@ -112,12 +109,6 @@ class TestEncryptedQueryBatch:
         assert batch.upload_bytes() == sum(
             batch[i].upload_bytes() for i in range(len(batch))
         )
-
-    def test_legacy_k_constructor(self, fitted_scheme, small_dataset):
-        query = fitted_scheme.user.encrypt_query(small_dataset.queries[0], 5)
-        legacy = EncryptedQuery(query.sap_vector, query.trapdoor, k=5)
-        assert legacy.k == 5
-        assert legacy.request == SearchRequest(k=5)
 
 
 class TestSearchResultBatch:

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.errors import KeyMismatchError, ParameterError
-from repro.core.search import EncryptedQuery, filter_and_refine, filter_only
+from repro.core.roles import CloudServer
 from repro.eval.metrics import recall_at_k
 from repro.hnsw.bruteforce import exact_knn
+
+
+def _server(scheme):
+    """A default-engine server over the scheme's index."""
+    return CloudServer(scheme.server.index)
 
 
 class TestFilterAndRefine:
@@ -14,32 +19,31 @@ class TestFilterAndRefine:
         recalls = []
         for i, query in enumerate(small_dataset.queries):
             encrypted = fitted_scheme.user.encrypt_query(query, 10)
-            report = filter_and_refine(
-                fitted_scheme.server.index, encrypted, k_prime=80, ef_search=120
+            report = _server(fitted_scheme).answer(
+                encrypted, ratio_k=8, ef_search=120
             )
             recalls.append(recall_at_k(report.ids, small_ground_truth.for_query(i), 10))
         assert np.mean(recalls) >= 0.9
 
     def test_returns_k_results(self, fitted_scheme, small_dataset):
         encrypted = fitted_scheme.user.encrypt_query(small_dataset.queries[0], 7)
-        report = filter_and_refine(fitted_scheme.server.index, encrypted, k_prime=28)
+        report = _server(fitted_scheme).answer(encrypted, ratio_k=4)
         assert report.ids.shape[0] == 7
 
     def test_results_subset_of_filter_candidates(self, fitted_scheme, small_dataset):
         query = small_dataset.queries[0]
         encrypted = fitted_scheme.user.encrypt_query(query, 5)
-        filter_report = filter_only(
-            fitted_scheme.server.index, encrypted, ef_search=100, k_prime=40
+        server = _server(fitted_scheme)
+        filter_report = server.answer_filter_only(
+            encrypted, ef_search=100, k_prime=40
         )
-        full_report = filter_and_refine(
-            fitted_scheme.server.index, encrypted, k_prime=40, ef_search=100
-        )
+        full_report = server.answer(encrypted, ratio_k=8, ef_search=100)
         # Refine only reorders/selects among the filter candidates.
         assert set(full_report.ids.tolist()) <= set(
             filter_report.ids.tolist()
         ) | set(
-            filter_only(
-                fitted_scheme.server.index, encrypted, ef_search=100, k_prime=40
+            server.answer_filter_only(
+                encrypted, ef_search=100, k_prime=40
             ).ids.tolist()
         ) or full_report.k_prime == 40
 
@@ -68,16 +72,14 @@ class TestFilterAndRefine:
         # Refine cost is O(k' log k): generous upper bound check.
         k, ratio = 10, 8
         encrypted = fitted_scheme.user.encrypt_query(small_dataset.queries[0], k)
-        report = filter_and_refine(
-            fitted_scheme.server.index, encrypted, k_prime=ratio * k
-        )
+        report = _server(fitted_scheme).answer(encrypted, ratio_k=ratio)
         k_prime = ratio * k
         assert report.refine_comparisons <= k_prime * (int(np.log2(k)) + 3)
         assert report.refine_comparisons >= k_prime - k
 
     def test_timings_populated(self, fitted_scheme, small_dataset):
         encrypted = fitted_scheme.user.encrypt_query(small_dataset.queries[0], 10)
-        report = filter_and_refine(fitted_scheme.server.index, encrypted, k_prime=40)
+        report = _server(fitted_scheme).answer(encrypted, ratio_k=4)
         assert report.filter_seconds > 0
         assert report.refine_seconds > 0
         assert report.mask_seconds >= 0
@@ -91,7 +93,8 @@ class TestFilterAndRefine:
     def test_k_prime_below_k_rejected(self, fitted_scheme, small_dataset):
         encrypted = fitted_scheme.user.encrypt_query(small_dataset.queries[0], 10)
         with pytest.raises(ParameterError):
-            filter_and_refine(fitted_scheme.server.index, encrypted, k_prime=5)
+            # ratio_k=0 asks for k' = 0 < k.
+            _server(fitted_scheme).answer(encrypted, ratio_k=0)
 
     def test_foreign_trapdoor_rejected(self, fitted_scheme, small_dataset):
         from repro import PPANNS
@@ -105,20 +108,32 @@ class TestFilterAndRefine:
         ).fit(small_dataset.database[:50])
         foreign = other.user.encrypt_query(small_dataset.queries[0], 10)
         with pytest.raises(KeyMismatchError):
-            filter_and_refine(fitted_scheme.server.index, foreign, k_prime=40)
+            _server(fitted_scheme).answer(foreign, ratio_k=4)
 
 
 class TestFilterOnly:
     def test_filter_only_returns_k(self, fitted_scheme, small_dataset):
         encrypted = fitted_scheme.user.encrypt_query(small_dataset.queries[0], 10)
-        report = filter_only(fitted_scheme.server.index, encrypted, ef_search=60)
+        report = _server(fitted_scheme).answer_filter_only(encrypted, ef_search=60)
         assert report.ids.shape[0] == 10
         assert report.refine_comparisons == 0
 
     def test_filter_only_k_prime_validation(self, fitted_scheme, small_dataset):
         encrypted = fitted_scheme.user.encrypt_query(small_dataset.queries[0], 10)
         with pytest.raises(ParameterError):
-            filter_only(fitted_scheme.server.index, encrypted, k_prime=5)
+            _server(fitted_scheme).answer_filter_only(encrypted, k_prime=5)
+
+    def test_filter_only_k_prime_defaults_to_k(self, fitted_scheme, small_dataset):
+        """k' = k unless ``k_prime`` is given, whatever ratio_k the query
+        carries; a ``k_prime`` that is not a multiple of k is refused."""
+        server = _server(fitted_scheme)
+        encrypted = fitted_scheme.user.encrypt_query(
+            small_dataset.queries[0], 10, ratio_k=8
+        )
+        assert server.answer_filter_only(encrypted).k_prime == 10
+        assert server.answer_filter_only(encrypted, k_prime=30).k_prime == 30
+        with pytest.raises(ParameterError, match="multiple of k"):
+            server.answer_filter_only(encrypted, k_prime=15)
 
 
 class TestEncryptedQuery:
@@ -134,7 +149,7 @@ class TestEncryptedQuery:
 
     def test_download_bytes(self, fitted_scheme, small_dataset):
         encrypted = fitted_scheme.user.encrypt_query(small_dataset.queries[0], 10)
-        report = filter_and_refine(fitted_scheme.server.index, encrypted, k_prime=40)
+        report = _server(fitted_scheme).answer(encrypted, ratio_k=4)
         assert report.download_bytes() == 4 * 10
 
 

@@ -1,11 +1,11 @@
 """Property-based bit-identity of the staged query pipeline.
 
-PR 5 replaced the monolithic ``filter_and_refine`` body with the staged
+The server answers every query through the staged
 ``resolve -> filter -> mask -> refine -> respond`` pipeline
-(:mod:`repro.core.search`).  The refactor's contract is that staging
-changes *structure only*: the returned ids — order included — must be
-bit-identical to the seed path for every backend kind, monolithic and
-sharded, in both search modes.  The seed body is reimplemented verbatim
+(:mod:`repro.core.search`), which replaced a monolithic body.  The
+refactor's contract is that staging changes *structure only*: the
+returned ids — order included — must be bit-identical to the seed path
+for every backend kind, monolithic and sharded, in both search modes.  The seed body is reimplemented verbatim
 here (:func:`_seed_reference_ids`) as the oracle.
 """
 
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.core.refine import get_refine_engine
 from repro.core.roles import CloudServer, DataOwner, QueryUser
-from repro.core.search import filter_and_refine, filter_only
 from repro.hnsw.graph import HNSWParams, SearchStats
 
 from tests.strategies import backend_kinds, databases, ks, ratio_ks, seeds
@@ -89,7 +88,7 @@ def test_staged_pipeline_matches_seed_reference(
     k_prime = ratio_k * k
     for row in queries:
         query = user.encrypt_query(row, k)
-        staged = filter_and_refine(index, query, k_prime=k_prime)
+        staged = CloudServer(index).answer(query, ratio_k=ratio_k)
         reference = _seed_reference_ids(index, query, k_prime, "full")
         assert np.array_equal(staged.ids, reference), (
             f"staged pipeline diverged from the seed body "
@@ -115,7 +114,7 @@ def test_staged_pipeline_matches_seed_reference_filter_only(
     k_prime = ratio_k * k
     for row in queries:
         query = user.encrypt_query(row, k, mode="filter_only")
-        staged = filter_only(index, query, k_prime=k_prime)
+        staged = CloudServer(index).answer_filter_only(query, k_prime=k_prime)
         reference = _seed_reference_ids(index, query, k_prime, "filter_only")
         assert np.array_equal(staged.ids, reference), (
             f"filter-only staged pipeline diverged "
