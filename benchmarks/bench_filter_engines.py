@@ -66,8 +66,7 @@ def _build(kind: str, seed: int = 60):
     vectors = np.random.default_rng(seed).standard_normal((N, DIM)) * 2.0
     params = HNSWParams(m=8, ef_construction=64) if kind == "hnsw" else None
     return build_backend(
-        kind, vectors, rng=np.random.default_rng(seed + 1), params=params,
-        build_mode="bulk" if kind == "hnsw" else "sequential",
+        kind, vectors, rng=np.random.default_rng(seed + 1), params=params
     )
 
 

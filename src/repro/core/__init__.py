@@ -12,9 +12,9 @@ Public API:
   :class:`SearchRequest`, :class:`EncryptedQuery` /
   :class:`EncryptedQueryBatch`, :class:`SearchResult` /
   :class:`SearchResultBatch`.
-* :mod:`repro.core.backends` — the :class:`FilterBackend` protocol and
-  the HNSW / NSG / IVF / brute-force adapters (Section V-A's
-  substitutability remark).
+* :mod:`repro.core.backends` — the :class:`FilterBackend` protocol,
+  which the HNSW / NSG / IVF / brute-force index classes implement, and
+  the kind -> class table (Section V-A's substitutability remark).
 * :func:`repro.core.search.execute_batch` — Algorithm 2, run as the
   staged pipeline :data:`repro.core.search.PIPELINE_STAGES` (resolve →
   filter → mask → refine → respond over a :class:`PipelineContext`)
@@ -44,11 +44,7 @@ Public API:
 
 from repro.core.backends import (
     BACKENDS,
-    BruteForceBackend,
     FilterBackend,
-    HNSWBackend,
-    IVFBackend,
-    NSGBackend,
     available_backends,
     build_backend,
 )
@@ -152,10 +148,6 @@ __all__ = [
     "SearchResultBatch",
     "resolve_ef_search",
     "FilterBackend",
-    "HNSWBackend",
-    "NSGBackend",
-    "IVFBackend",
-    "BruteForceBackend",
     "BACKENDS",
     "available_backends",
     "build_backend",

@@ -22,9 +22,10 @@ Three pieces:
   surfaces through ``repro build --json``.
 
 The ``build_mode`` knob (:data:`BUILD_MODES`, from
-:mod:`repro.hnsw.graph`) is validated and recorded in the build report;
-both values run the same HNSW insert loop and build the same graph.
-Non-HNSW backends ignore it.
+:mod:`repro.hnsw.graph`) stops at :class:`~repro.core.roles.DataOwner`,
+which validates it and records it in the build report: both values
+would run the same HNSW insert loop on the empty graph a build starts
+from, so nothing below the owner takes it.
 """
 
 from __future__ import annotations
@@ -88,7 +89,8 @@ class BuildReport:
     shards:
         Shard count (1 for a monolithic index).
     build_mode:
-        HNSW construction path used (one of :data:`BUILD_MODES`).
+        The build mode the owner was configured with (one of
+        :data:`BUILD_MODES`); recorded, not a construction path.
     encrypt_seconds:
         Wall clock of database encryption (0.0 when the index was built
         directly from ciphertexts).
@@ -164,7 +166,6 @@ def build_shard_backends(
     owned: "list[np.ndarray]",
     rng: np.random.Generator | None = None,
     params=None,
-    build_mode: str = "sequential",
 ):
     """Build one filter backend per shard, reproducibly.
 
@@ -183,16 +184,10 @@ def build_shard_backends(
         (:func:`spawn_shard_rngs`).
     params:
         Backend construction parameters, shared by every shard.
-    build_mode:
-        HNSW construction path (one of :data:`BUILD_MODES`).
 
     Returns ``(backends, timings)``: the per-shard backend list (``None``
     entries for empty shards) and a tuple of :class:`ShardBuildTiming`.
     """
-    if build_mode not in BUILD_MODES:
-        raise ParameterError(
-            f"unknown build mode {build_mode!r}; available: {', '.join(BUILD_MODES)}"
-        )
     backends = []
     timings = []
     for shard_id, (ids, child) in enumerate(
@@ -204,11 +199,7 @@ def build_shard_backends(
             timings.append(ShardBuildTiming(shard_id, 0.0, 0))
             continue
         start = time.perf_counter()
-        backends.append(
-            build_backend(
-                kind, sap_vectors[ids], rng=child, params=params, build_mode=build_mode
-            )
-        )
+        backends.append(build_backend(kind, sap_vectors[ids], rng=child, params=params))
         timings.append(
             ShardBuildTiming(
                 shard_id=shard_id,

@@ -12,15 +12,15 @@ substrate can be swapped per request:
 * :class:`VectorizedFilterEngine` (``"vectorized"``, the default) —
   single queries take the same ``backend.search`` (there is one
   per-query beam search), and micro-batches go to
-  ``backend.search_batch`` when the backend advertises a genuinely
-  batched kernel (``batched_kernel`` — the brute-force and IVF GEMM
-  paths, and the graph backends' lockstep multi-query beam search,
-  which itself falls back to the per-query loop below its measured
-  crossover).  Results are **bit-identical** to the heap engine — ids,
-  distances, ``distance_computations`` and ``hops`` — because the
-  lockstep traversal replays the oracle's decisions exactly and the
-  GEMM kernels verify their selections against the oracle's own
-  distance kernel, falling back on any tie (property-tested in
+  ``backend.search_batch``, which every backend implements with a
+  batched kernel: GEMM on brute force and IVF, and on the graph
+  backends a lockstep multi-query beam search, which itself loops
+  ``search`` below its measured crossover.  Results are
+  **bit-identical** to the heap engine — ids, distances,
+  ``distance_computations`` and ``hops`` — because the lockstep
+  traversal replays the oracle's decisions exactly and the GEMM kernels
+  verify their selections against the oracle's own distance kernel,
+  falling back on any tie (property-tested in
   ``tests/strategies/test_filter_engine_properties.py``).  Wall time
   inside the backend call is accumulated into
   ``SearchStats.kernel_seconds`` and surfaces as
@@ -128,11 +128,11 @@ class VectorizedFilterEngine:
     """The oracle's per-query search plus batched multi-query kernels.
 
     Single queries run ``backend.search``, timed.  Micro-batches go to
-    ``backend.search_batch`` whenever the backend advertises
-    ``batched_kernel``: brute force runs one GEMM per batch and IVF one
-    GEMM per probed posting list over list-major rows (each verified
-    against the oracle kernel with a tie-safe fallback), and the graph backends run a lockstep beam search that
-    fuses each round's distance blocks across the batch
+    ``backend.search_batch``: brute force runs one GEMM per batch and
+    IVF one GEMM per probed posting list over list-major rows (each
+    verified against the oracle kernel with a tie-safe fallback), and
+    the graph backends run a lockstep beam search that fuses each
+    round's distance blocks across the batch
     (:func:`repro.hnsw.graph.lockstep_beam_search`) once the batch
     reaches :data:`repro.hnsw.graph.LOCKSTEP_MIN_ROWS`.  Either way the
     results are bit-identical to :class:`HeapFilterEngine`.
@@ -168,29 +168,18 @@ class VectorizedFilterEngine:
         ef_search: int | None = None,
         stats_list: "list[SearchStats] | None" = None,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Batched kernel when the backend has one, else a timed loop."""
+        """The backend's batched kernel, its time smeared across the rows."""
         queries = np.asarray(sap_queries)
-        if getattr(backend, "batched_kernel", False):
-            start = time.perf_counter()
-            out = backend.search_batch(
-                queries, k_prime, ef_search=ef_search, stats_list=stats_list
-            )
-            if stats_list is not None and queries.shape[0]:
-                share = (time.perf_counter() - start) / queries.shape[0]
-                for stats in stats_list:
-                    if stats is not None:
-                        stats.kernel_seconds += share
-            return out
-        return [
-            self.search(
-                backend,
-                queries[row],
-                k_prime,
-                ef_search=ef_search,
-                stats=stats_list[row] if stats_list is not None else None,
-            )
-            for row in range(queries.shape[0])
-        ]
+        start = time.perf_counter()
+        out = backend.search_batch(
+            queries, k_prime, ef_search=ef_search, stats_list=stats_list
+        )
+        if stats_list is not None and queries.shape[0]:
+            share = (time.perf_counter() - start) / queries.shape[0]
+            for stats in stats_list:
+                if stats is not None:
+                    stats.kernel_seconds += share
+        return out
 
 
 #: Registered filter engines by name.

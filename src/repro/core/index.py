@@ -28,11 +28,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.backends import FilterBackend, HNSWBackend
+from repro.core.backends import FilterBackend
 from repro.core.dce import DCEEncryptedDatabase
 from repro.core.errors import CiphertextFormatError, ParameterError
 from repro.core.filterengine import get_filter_engine
-from repro.hnsw.graph import HNSWIndex
 
 __all__ = ["EncryptedIndex", "IndexSizeReport"]
 
@@ -93,16 +92,14 @@ class EncryptedIndex:
     and mutated only through :mod:`repro.core.maintenance` (insert /
     delete).  The server reads but never decrypts.
 
-    The second component accepts either a :class:`FilterBackend` or — for
-    backward compatibility with the seed API — a bare
-    :class:`~repro.hnsw.graph.HNSWIndex`, which is wrapped in an
-    :class:`~repro.core.backends.HNSWBackend`.
+    The second component is any :class:`FilterBackend` — one of the
+    index classes, such as :class:`~repro.hnsw.graph.HNSWIndex`.
     """
 
     def __init__(
         self,
         sap_vectors: np.ndarray,
-        backend: FilterBackend | HNSWIndex,
+        backend: FilterBackend,
         dce_database: DCEEncryptedDatabase,
         live_ids: np.ndarray | None = None,
         retired: "frozenset[int] | set[int] | tuple[int, ...]" = (),
@@ -112,8 +109,6 @@ class EncryptedIndex:
             raise CiphertextFormatError(
                 f"C_SAP must be a (n, d) array, got shape {sap_vectors.shape}"
             )
-        if isinstance(backend, HNSWIndex):
-            backend = HNSWBackend(backend)
         if sap_vectors.shape[0] != len(dce_database):
             raise CiphertextFormatError(
                 f"C_SAP has {sap_vectors.shape[0]} rows but C_DCE has "

@@ -236,14 +236,12 @@ class DataOwner:
                 strategy=strategy,
                 rng=self._rng,
                 params=params,
-                build_mode=mode,
             )
+            index.build_report.build_mode = mode
             index.build_report.encrypt_seconds = encrypt_seconds
             return index
         build_start = time.perf_counter()
-        backend = build_backend(
-            self._backend, sap, rng=self._rng, params=params, build_mode=mode
-        )
+        backend = build_backend(self._backend, sap, rng=self._rng, params=params)
         index = EncryptedIndex(sap, backend, dce_db)
         index.build_report = BuildReport(
             backend=self._backend,
@@ -547,22 +545,3 @@ class CloudServer:
         return self.answer(
             replace(query, request=request), filter_engine=filter_engine
         )
-
-    def answer_batch(
-        self,
-        queries: "list[EncryptedQuery] | EncryptedQueryBatch",
-        ratio_k: int | None = None,
-        ef_search: int | None = None,
-    ) -> "list[SearchResult] | SearchResultBatch":
-        """Answer a batch of encrypted queries.
-
-        Given an :class:`EncryptedQueryBatch` this is the amortized batch
-        path and returns a :class:`SearchResultBatch`.  A plain list of
-        queries is answered one by one (the seed API) and returns a list.
-        """
-        if isinstance(queries, EncryptedQueryBatch):
-            return self.answer(queries, ratio_k=ratio_k, ef_search=ef_search)
-        return [
-            self.answer(query, ratio_k=ratio_k, ef_search=ef_search)
-            for query in queries
-        ]

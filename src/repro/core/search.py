@@ -293,21 +293,6 @@ def _resolve_batch(
     return request
 
 
-def _wants_batched_kernel(index) -> bool:
-    """Whether the index's backend(s) advertise a batched filter kernel."""
-    backend = getattr(index, "backend", None)
-    if backend is not None:
-        return bool(getattr(backend, "batched_kernel", False))
-    shards = getattr(index, "shards", None)
-    if shards:
-        return any(
-            shard.backend is not None
-            and getattr(shard.backend, "batched_kernel", False)
-            for shard in shards
-        )
-    return False
-
-
 def execute_batch_settled(
     index: "EncryptedIndex | ShardedEncryptedIndex",
     batch: EncryptedQueryBatch,
@@ -340,9 +325,11 @@ def execute_batch_settled(
     re-resolve and risk drifting from what actually executed).
 
     ``filter_engine`` selects the filter-stage engine (bit-identical
-    results on every engine).  On the ``vectorized`` engine, backends
-    that advertise a batched kernel (brute-force, IVF) filter the whole
-    batch in one GEMM pre-pass before the per-query loop.
+    results on every engine).  On the ``vectorized`` engine a batch of
+    two or more queries is filtered in one ``search_batch`` pre-pass
+    before the per-query loop: GEMM kernels on brute force and IVF, and
+    on the graph backends a lockstep beam search from
+    :data:`~repro.hnsw.graph.LOCKSTEP_MIN_ROWS` rows up.
     """
     engine = get_refine_engine(refine_engine)
     fengine = get_filter_engine(filter_engine)
@@ -353,12 +340,8 @@ def execute_batch_settled(
 
     start = time.perf_counter()
     prefiltered = None
-    if (
-        fengine.name == "vectorized"
-        and len(batch) > 1
-        and _wants_batched_kernel(index)
-    ):
-        # Batched filter pre-pass: one GEMM kernel answers every query's
+    if fengine.name == "vectorized" and len(batch) > 1:
+        # Batched filter pre-pass: one backend kernel answers every query's
         # filter phase (bit-identical to filtering each query alone); the
         # stage pipeline then consumes the precomputed candidates.  A
         # failure here is a batch-level error, like the key check.
@@ -422,7 +405,7 @@ def execute_batch(
     (:data:`repro.core.refine.DEFAULT_REFINE_ENGINE`).
     ``filter_engine`` does the same for the filter stage
     (:data:`repro.core.filterengine.DEFAULT_FILTER_ENGINE`), including
-    the batched GEMM pre-pass on backends that support it.
+    the batched filter pre-pass.
 
     The returned batch records the per-query loop's start-to-finish
     wall clock in ``wall_seconds``.

@@ -33,7 +33,7 @@ import time
 
 import numpy as np
 
-from repro.core.backends import FilterBackend, HNSWBackend, build_backend
+from repro.core.backends import FilterBackend, build_backend
 from repro.core.build import BuildReport, build_shard_backends
 from repro.core.dce import DCEEncryptedDatabase
 from repro.core.errors import CiphertextFormatError, ParameterError
@@ -41,7 +41,7 @@ from repro.core.executor import map_ordered
 from repro.core.filterengine import FilterEngine, get_filter_engine
 from repro.core.index import IndexSizeReport
 from repro.core.protocol import ShardTiming
-from repro.hnsw.graph import HNSWIndex, HNSWParams, SearchStats
+from repro.hnsw.graph import HNSWIndex, SearchStats
 
 __all__ = [
     "SHARD_STRATEGIES",
@@ -463,7 +463,7 @@ class ShardedEncryptedIndex:
     def _lazy_build_params(self):
         """Construction parameters for a backend built on first insert.
 
-        Falls back to a non-empty sibling shard's substrate parameters
+        Falls back to a non-empty sibling shard's backend parameters
         when none were configured (e.g. after a v3 load, which persists
         backend state but not the original construction params), so the
         lazily built shard matches its siblings instead of silently
@@ -473,7 +473,7 @@ class ShardedEncryptedIndex:
             return self._backend_params
         for shard in self._shards:
             if shard.backend is not None:
-                return getattr(shard.backend.substrate, "params", None)
+                return getattr(shard.backend, "params", None)
         return None
 
     def backend_insert(self, sap_row: np.ndarray, level: int | None = None) -> int:
@@ -492,14 +492,10 @@ class ShardedEncryptedIndex:
             # The HNSW path goes empty-graph-then-insert so a forced
             # replay level applies to the founding node too.
             if kind == "hnsw":
-                params = self._lazy_build_params()
-                graph = HNSWIndex(
-                    row.shape[0],
-                    params if params is not None else HNSWParams(),
-                    rng=self._rng,
+                shard.backend = HNSWIndex(
+                    row.shape[0], self._lazy_build_params(), rng=self._rng
                 )
-                graph.insert(row, level=level)
-                shard.backend = HNSWBackend(graph)
+                shard.backend.insert(row, level=level)
             else:
                 shard.backend = build_backend(
                     kind,
@@ -606,7 +602,6 @@ def build_sharded_index(
     strategy: str = "round_robin",
     rng: np.random.Generator | None = None,
     params=None,
-    build_mode: str = "sequential",
 ) -> ShardedEncryptedIndex:
     """Partition encrypted data into shards and build a backend per shard.
 
@@ -634,10 +629,6 @@ def build_sharded_index(
         counter advances between calls.
     params:
         Backend construction parameters, shared by every shard.
-    build_mode:
-        HNSW construction path (one of
-        :data:`repro.core.build.BUILD_MODES`); non-HNSW backends have a
-        single build path and ignore it.
 
     The returned index carries a
     :class:`~repro.core.build.BuildReport` (``build_report``) with the
@@ -658,7 +649,6 @@ def build_sharded_index(
         owned,
         rng=rng,
         params=params,
-        build_mode=build_mode,
     )
     build_seconds = time.perf_counter() - start
     shards = [
@@ -678,7 +668,6 @@ def build_sharded_index(
         num_vectors=int(sap_vectors.shape[0]),
         dim=int(sap_vectors.shape[1]) if sap_vectors.ndim == 2 else 0,
         shards=num_shards,
-        build_mode=build_mode,
         build_seconds=build_seconds,
         shard_timings=timings,
     )

@@ -8,6 +8,8 @@ can treat exact search like any other method.
 
 from __future__ import annotations
 
+from typing import ClassVar, Mapping
+
 import numpy as np
 
 from repro.core.errors import DimensionMismatchError, ParameterError
@@ -46,7 +48,13 @@ def exact_knn(
 
 
 class BruteForceIndex:
-    """Linear-scan index with the same ``search`` signature as HNSW."""
+    """Linear-scan index with the same ``search`` signature as HNSW.
+
+    The no-index reference :class:`~repro.core.backends.FilterBackend`.
+    """
+
+    #: Backend kind: the registry key and the persisted ``backend_kind``.
+    kind: ClassVar[str] = "bruteforce"
 
     def __init__(self, vectors: np.ndarray) -> None:
         vectors = np.asarray(vectors, dtype=np.float64)
@@ -63,12 +71,28 @@ class BruteForceIndex:
 
     @classmethod
     def from_state(
-        cls, vectors: np.ndarray, deleted: set[int] | None = None
+        cls, vectors: np.ndarray, data: Mapping[str, np.ndarray]
     ) -> "BruteForceIndex":
-        """Reconstruct an index (used by :mod:`repro.core.persistence`)."""
+        """The index :meth:`state_arrays` described, over ``vectors``."""
         index = cls(vectors)
-        index._deleted = set(deleted) if deleted is not None else set()
+        index._deleted = set(int(i) for i in data["bruteforce_deleted"])
         return index
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """The ``bruteforce_*`` arrays persisted with the index
+        (``docs/FORMATS.md``)."""
+        return {"bruteforce_deleted": self.deleted_ids()}
+
+    def rebuild(
+        self, vectors: np.ndarray, rng: np.random.Generator | None = None
+    ) -> "BruteForceIndex":
+        """A scan over ``vectors`` (compaction drops tombstoned rows this
+        way).  A linear scan has no randomness, so ``rng`` goes unused."""
+        return BruteForceIndex(vectors)
+
+    def edge_count(self) -> int:
+        """Directed graph edges: none, a linear scan has no graph."""
+        return 0
 
     @property
     def size(self) -> int:

@@ -51,6 +51,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass, field
+from typing import ClassVar, Mapping
 
 import numpy as np
 
@@ -406,7 +407,12 @@ class HNSWIndex:
     Vectors are stored in insertion order and addressed by integer ids
     ``0..n-1``; the PP-ANNS scheme uses the same ids for the DCE ciphertext
     array, so the refine phase can cross-reference candidates directly.
+    The class is the paper's default
+    :class:`~repro.core.backends.FilterBackend`.
     """
+
+    #: Backend kind: the registry key and the persisted ``backend_kind``.
+    kind: ClassVar[str] = "hnsw"
 
     def __init__(
         self,
@@ -706,11 +712,10 @@ class HNSWIndex:
         """The layer-0 CSR snapshot of the current adjacency, compiled lazily.
 
         Cached per graph generation: any adjacency mutation bumps
-        ``_adjacency_version`` and the next call recompiles.  External
-        state surgery that bypasses the mutation helpers (the
-        persistence ``from_state`` hook writes ``_nodes`` directly) is
-        safe because it happens on a fresh graph, before the first
-        lockstep batch compiles anything.
+        ``_adjacency_version`` and the next call recompiles.
+        :meth:`from_state` writes ``_nodes`` without the mutation
+        helpers, which is safe because it fills a fresh graph before the
+        first lockstep batch compiles anything.
         """
         mode = self._search_mode
         if mode is not None and mode.version == self._adjacency_version:
@@ -944,9 +949,18 @@ class HNSWIndex:
     # -- maintenance -------------------------------------------------------------
 
     def mark_deleted(self, node: int) -> None:
-        """Mark ``node`` deleted so searches skip it (edges remain)."""
+        """Section V-D deletion: unlink ``node``, tombstone it, and re-link
+        each live in-neighbor with :meth:`repair_node` (ascending id)."""
         if not 0 <= node < len(self._nodes):
             raise IndexError(f"node {node} out of range")
+        in_neighbors = self.in_neighbors(node)
+        self.remove_edges_to(node)
+        self._tombstone(node)
+        for neighbor in in_neighbors:
+            self.repair_node(neighbor)
+
+    def _tombstone(self, node: int) -> None:
+        """Mark ``node`` deleted so searches skip it (edges remain)."""
         self._deleted.add(node)
         if node == self._entry_point:
             self._reassign_entry_point()
@@ -1090,3 +1104,64 @@ class HNSWIndex:
             for node, record in enumerate(self._nodes)
             if node not in self._deleted and layer <= record.level
         )
+
+    # -- persistence and compaction ------------------------------------------------
+
+    def rebuild(
+        self, vectors: np.ndarray, rng: np.random.Generator | None = None
+    ) -> "HNSWIndex":
+        """A fresh graph over ``vectors`` with this graph's parameters
+        (compaction drops tombstoned rows this way)."""
+        return HNSWIndex(self._dim, self._params, rng=rng).build(vectors)
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """The ``graph_*`` arrays persisted with the index (``docs/FORMATS.md``).
+
+        The vectors are not among them: they are the ``C_SAP`` rows the
+        index file already holds, which :meth:`from_state` takes back.
+        """
+        levels, edges = self.adjacency_arrays()
+        return {
+            "graph_levels": levels,
+            "graph_edges": edges,
+            "graph_deleted": self.deleted_ids(),
+            "graph_entry_point": np.array(
+                [-1 if self._entry_point is None else self._entry_point],
+                dtype=np.int64,
+            ),
+            "graph_params": np.array(
+                [self._params.m, self._params.ef_construction], dtype=np.int64
+            ),
+        }
+
+    @classmethod
+    def from_state(
+        cls, vectors: np.ndarray, data: Mapping[str, np.ndarray]
+    ) -> "HNSWIndex":
+        """The graph :meth:`state_arrays` described, over ``vectors``.
+
+        The adjacency is written back as persisted; going through
+        :meth:`insert` would re-run construction and change the edges.
+        Format v1 files carried the vectors as ``graph_vectors``, which
+        then win over ``vectors``.
+        """
+        vectors = np.asarray(data.get("graph_vectors", vectors), dtype=np.float64)
+        levels = data["graph_levels"]
+        m, ef_construction = (int(x) for x in data["graph_params"])
+        graph = cls(vectors.shape[1], HNSWParams(m=m, ef_construction=ef_construction))
+        count = vectors.shape[0]
+        graph._buffer = vectors.copy()
+        graph._nodes = [
+            _Node(
+                level=int(levels[i]),
+                neighbors=[[] for _ in range(int(levels[i]) + 1)],
+            )
+            for i in range(count)
+        ]
+        for node, level, neighbor in data["graph_edges"]:
+            graph._nodes[int(node)].neighbors[int(level)].append(int(neighbor))
+        graph._deleted = set(int(i) for i in data["graph_deleted"])
+        entry = int(data["graph_entry_point"][0])
+        graph._entry_point = None if entry < 0 else entry
+        graph._max_level = int(levels.max()) if count else -1
+        return graph

@@ -11,12 +11,16 @@ Construction: Lloyd's k-means (from scratch, k-means++ seeding) assigns
 every vector to its nearest of ``num_lists`` centroids; each centroid
 keeps a posting list.  Search probes the ``nprobe`` closest centroids and
 re-ranks their members exactly — ``nprobe`` is the recall/throughput
-knob, playing the role HNSW's ``ef_search`` does.
+knob, playing the role HNSW's ``ef_search`` does.  As a filter backend
+the index takes the shared ``ef_search`` and maps it onto ``nprobe``
+(``IVFFlatIndex._nprobe_for``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import ClassVar, Mapping
 
 import numpy as np
 
@@ -123,6 +127,12 @@ def _list_major(
     return ids, offsets, rows, np.einsum("ij,ij->i", rows, rows)
 
 
+def _check_nprobe(nprobe: int) -> int:
+    if nprobe < 1:
+        raise ParameterError(f"nprobe must be >= 1, got {nprobe}")
+    return nprobe
+
+
 def _positions(offsets: np.ndarray, lists: np.ndarray) -> np.ndarray:
     """Layout positions of the rows of ``lists``, list after list."""
     return np.concatenate([np.arange(offsets[c], offsets[c + 1]) for c in lists])
@@ -135,7 +145,7 @@ class IVFFlatIndex:
     :func:`_list_major`), ascending ids within each list.  Mutations
     build a new layout and swap it in as a single attribute, so a
     concurrent reader sees either the whole old layout or the whole new
-    one.
+    one.  The class is a :class:`~repro.core.backends.FilterBackend`.
 
     Parameters
     ----------
@@ -146,19 +156,28 @@ class IVFFlatIndex:
         IVF configuration.
     rng:
         Randomness for quantizer training.
+    default_nprobe:
+        The fewest lists a search probes when it names no ``nprobe``;
+        ``ef_search`` can only raise the count (see :meth:`_nprobe_for`).
+        Persisted with the index and kept by :meth:`rebuild`.
     """
+
+    #: Backend kind: the registry key and the persisted ``backend_kind``.
+    kind: ClassVar[str] = "ivf"
 
     def __init__(
         self,
         vectors: np.ndarray,
         params: IVFParams | None = None,
         rng: np.random.Generator | None = None,
+        default_nprobe: int = 4,
     ) -> None:
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[0] == 0:
             raise ParameterError(
                 f"need a non-empty (n, d) array, got shape {vectors.shape}"
             )
+        self._default_nprobe = _check_nprobe(default_nprobe)
         self._vectors = vectors
         self._params = params if params is not None else IVFParams()
         rng = rng if rng is not None else np.random.default_rng()
@@ -172,27 +191,54 @@ class IVFFlatIndex:
 
     @classmethod
     def from_state(
-        cls,
-        vectors: np.ndarray,
-        params: IVFParams,
-        centroids: np.ndarray,
-        assignments: np.ndarray,
-        deleted: set[int] | None = None,
+        cls, vectors: np.ndarray, data: Mapping[str, np.ndarray]
     ) -> "IVFFlatIndex":
-        """Reconstruct an index from persisted quantizer state, skipping
-        k-means training (used by :mod:`repro.core.persistence`)."""
+        """The index :meth:`state_arrays` described, over ``vectors``,
+        skipping k-means training."""
+        num_lists, train_iterations, default_nprobe = (
+            int(x) for x in data["ivf_params"]
+        )
         index = cls.__new__(cls)
+        index._default_nprobe = _check_nprobe(default_nprobe)
         index._vectors = np.asarray(vectors, dtype=np.float64)
-        index._params = params
-        index._centroids = np.asarray(centroids, dtype=np.float64)
-        index._deleted = set(deleted) if deleted is not None else set()
+        index._params = IVFParams(
+            num_lists=num_lists, train_iterations=train_iterations
+        )
+        index._centroids = np.asarray(data["ivf_centroids"], dtype=np.float64)
+        index._deleted = set(int(i) for i in data["ivf_deleted"])
         live = np.ones(index.size, dtype=bool)
         live[index.deleted_ids()] = False
         ids = np.flatnonzero(live)
+        assignments = np.asarray(data["ivf_assignments"], dtype=np.int64)
         index._layout = _list_major(
-            index._vectors, ids, np.asarray(assignments)[ids], index.num_lists
+            index._vectors, ids, assignments[ids], index.num_lists
         )
         return index
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """The ``ivf_*`` arrays persisted with the index (``docs/FORMATS.md``)."""
+        return {
+            "ivf_centroids": self._centroids,
+            "ivf_assignments": self.assignments(),
+            "ivf_deleted": self.deleted_ids(),
+            "ivf_params": np.array(
+                [
+                    self._params.num_lists,
+                    self._params.train_iterations,
+                    self._default_nprobe,
+                ],
+                dtype=np.int64,
+            ),
+        }
+
+    def rebuild(
+        self, vectors: np.ndarray, rng: np.random.Generator | None = None
+    ) -> "IVFFlatIndex":
+        """A fresh index over ``vectors`` with this index's parameters and
+        ``default_nprobe`` (compaction drops tombstoned rows this way)."""
+        return IVFFlatIndex(
+            vectors, self._params, rng=rng, default_nprobe=self._default_nprobe
+        )
 
     @property
     def size(self) -> int:
@@ -223,6 +269,23 @@ class IVFFlatIndex:
     def vectors(self) -> np.ndarray:
         """The indexed vectors, including any deleted slots."""
         return self._vectors
+
+    def _nprobe_for(self, ef_search: int | None) -> int:
+        """The probe count standing in for a beam width of ``ef_search``.
+
+        At least ``default_nprobe`` lists, plus enough lists that the
+        expected number of scanned vectors (``ef_search`` of them,
+        assuming balanced lists) is covered; ``None`` gives
+        ``default_nprobe``.
+        """
+        if ef_search is None:
+            return self._default_nprobe
+        per_list = max(1.0, self.size / max(1, self.num_lists))
+        return max(self._default_nprobe, math.ceil(ef_search / per_list))
+
+    def edge_count(self) -> int:
+        """Directed graph edges: none, an inverted file has no graph."""
+        return 0
 
     def list_sizes(self) -> list[int]:
         """Posting-list occupancy (for balance diagnostics)."""
@@ -298,18 +361,22 @@ class IVFFlatIndex:
         self,
         query: np.ndarray,
         k: int,
-        nprobe: int = 4,
+        ef_search: int | None = None,
         stats: SearchStats | None = None,
+        *,
+        nprobe: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Probe the ``nprobe`` nearest lists, exact-rerank their members.
 
         Same result contract as the graph indexes: ``(ids, squared
-        distances)`` nearest-first.
+        distances)`` nearest-first.  Without ``nprobe`` the probe count
+        comes from ``ef_search`` (:meth:`_nprobe_for`).
         """
         if k <= 0:
             raise ParameterError(f"k must be positive, got {k}")
-        if nprobe < 1:
-            raise ParameterError(f"nprobe must be >= 1, got {nprobe}")
+        if nprobe is None:
+            nprobe = self._nprobe_for(ef_search)
+        _check_nprobe(nprobe)
         query = np.asarray(query, dtype=np.float64)
         if query.ndim != 1 or query.shape[0] != self.dim:
             raise DimensionMismatchError(self.dim, query.shape[-1], what="query")
@@ -329,8 +396,10 @@ class IVFFlatIndex:
         self,
         queries: np.ndarray,
         k: int,
-        nprobe: int = 4,
+        ef_search: int | None = None,
         stats_list: "list[SearchStats] | None" = None,
+        *,
+        nprobe: int | None = None,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Batched probe-and-rerank, bit-identical to looping :meth:`search`.
 
@@ -345,8 +414,9 @@ class IVFFlatIndex:
         """
         if k <= 0:
             raise ParameterError(f"k must be positive, got {k}")
-        if nprobe < 1:
-            raise ParameterError(f"nprobe must be >= 1, got {nprobe}")
+        if nprobe is None:
+            nprobe = self._nprobe_for(ef_search)
+        _check_nprobe(nprobe)
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != self.dim:
             raise DimensionMismatchError(self.dim, queries.shape[-1], what="queries")

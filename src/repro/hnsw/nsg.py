@@ -23,6 +23,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from typing import ClassVar, Mapping
 
 import numpy as np
 
@@ -84,7 +85,12 @@ class NSGIndex:
         setting).
     params:
         Construction parameters.
+
+    The class is a :class:`~repro.core.backends.FilterBackend`.
     """
+
+    #: Backend kind: the registry key and the persisted ``backend_kind``.
+    kind: ClassVar[str] = "nsg"
 
     def __init__(self, vectors: np.ndarray, params: NSGParams | None = None) -> None:
         vectors = np.asarray(vectors, dtype=np.float64)
@@ -104,24 +110,41 @@ class NSGIndex:
 
     @classmethod
     def from_state(
-        cls,
-        vectors: np.ndarray,
-        params: NSGParams,
-        neighbors: list[list[int]],
-        medoid: int,
-        deleted: set[int] | None = None,
+        cls, vectors: np.ndarray, data: Mapping[str, np.ndarray]
     ) -> "NSGIndex":
-        """Reconstruct an index from persisted adjacency, skipping the
-        O(n^2) build (used by :mod:`repro.core.persistence`)."""
+        """The graph :meth:`state_arrays` described, over ``vectors``,
+        skipping the O(n^2) build."""
+        knn, max_degree = (int(x) for x in data["nsg_params"])
         index = cls.__new__(cls)
         index._vectors = np.asarray(vectors, dtype=np.float64)
-        index._params = params
-        index._medoid = int(medoid)
-        index._neighbors = [list(adj) for adj in neighbors]
-        index._deleted = set(deleted) if deleted is not None else set()
+        index._params = NSGParams(knn=knn, max_degree=max_degree)
+        index._medoid = int(data["nsg_medoid"][0])
+        index._neighbors = [[] for _ in range(index._vectors.shape[0])]
+        for node, neighbor in data["nsg_edges"]:
+            index._neighbors[int(node)].append(int(neighbor))
+        index._deleted = set(int(i) for i in data["nsg_deleted"])
         index._adjacency_version = 0
         index._search_mode = None
         return index
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """The ``nsg_*`` arrays persisted with the index (``docs/FORMATS.md``)."""
+        return {
+            "nsg_edges": self.adjacency_arrays(),
+            "nsg_deleted": self.deleted_ids(),
+            "nsg_medoid": np.array([self._medoid], dtype=np.int64),
+            "nsg_params": np.array(
+                [self._params.knn, self._params.max_degree], dtype=np.int64
+            ),
+        }
+
+    def rebuild(
+        self, vectors: np.ndarray, rng: np.random.Generator | None = None
+    ) -> "NSGIndex":
+        """A fresh graph over ``vectors`` with this graph's parameters
+        (compaction drops tombstoned rows this way).  The build is
+        deterministic, so ``rng`` goes unused."""
+        return NSGIndex(vectors, self._params)
 
     @property
     def size(self) -> int:

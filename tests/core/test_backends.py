@@ -20,7 +20,10 @@ from repro.core.maintenance import delete_vector, insert_vector
 from repro.core.persistence import load_index, save_index
 from repro.core.roles import CloudServer, DataOwner, QueryUser
 from repro.eval.metrics import recall_at_k
-from repro.hnsw.graph import HNSWParams
+from repro.hnsw.bruteforce import BruteForceIndex
+from repro.hnsw.graph import HNSWIndex, HNSWParams
+from repro.hnsw.ivf import IVFFlatIndex
+from repro.hnsw.nsg import NSGIndex
 
 ALL_BACKENDS = available_backends()
 
@@ -44,6 +47,27 @@ def backend_actors(request, small_dataset):
     return request.param, owner, user, server
 
 
+def test_index_classes_are_filter_backends(rng):
+    """The index classes implement the protocol themselves: a built
+    backend is the index, with no wrapper in between."""
+    expected = {
+        "hnsw": HNSWIndex,
+        "nsg": NSGIndex,
+        "ivf": IVFFlatIndex,
+        "bruteforce": BruteForceIndex,
+    }
+    sap = rng.standard_normal((30, 6))
+    for kind in ALL_BACKENDS:
+        index = build_backend(kind, sap, rng=np.random.default_rng(1))
+        assert type(index) is expected[kind] is BACKENDS[kind], kind
+        assert isinstance(index, FilterBackend), kind
+        assert index.kind == kind
+        assert index.vectors.shape[0] == 30
+        rebuilt = index.rebuild(sap[:20], rng=np.random.default_rng(2))
+        assert type(rebuilt) is expected[kind], kind
+        assert isinstance(rebuilt, FilterBackend), kind
+
+
 class TestRegistry:
     def test_four_backends_registered(self):
         assert set(ALL_BACKENDS) >= {"hnsw", "nsg", "ivf", "bruteforce"}
@@ -51,14 +75,6 @@ class TestRegistry:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError):
             build_backend("faiss", np.zeros((4, 2)))
-
-    def test_adapters_satisfy_protocol(self, rng):
-        sap = rng.standard_normal((30, 6))
-        for kind in ALL_BACKENDS:
-            backend = build_backend(kind, sap, rng=np.random.default_rng(1))
-            assert isinstance(backend, FilterBackend), kind
-            assert backend.kind == kind
-            assert backend.vectors.shape[0] == 30
 
     def test_registry_keys_match_kinds(self):
         for kind, backend_cls in BACKENDS.items():

@@ -7,7 +7,6 @@ from repro.core.build import (
     BUILD_MODES,
     BuildReport,
     ShardBuildTiming,
-    build_shard_backends,
     spawn_shard_rngs,
 )
 from repro.core.errors import ParameterError
@@ -32,14 +31,6 @@ class TestKnobValidation:
         owner = DataOwner(8, beta=0.3, backend="bruteforce")
         with pytest.raises(ParameterError):
             owner.build_index(_database(), build_mode="turbo")
-
-    def test_build_shard_backends_rejects_bad_mode(self):
-        data = _database(10)
-        with pytest.raises(ParameterError):
-            build_shard_backends(
-                "bruteforce", data, [np.arange(10, dtype=np.int64)],
-                build_mode="turbo",
-            )
 
     def test_modes_registry(self):
         assert BUILD_MODES == ("sequential", "bulk")

@@ -11,6 +11,7 @@ import pytest
 from repro import PPANNS
 from repro.core.dce import DCEScheme, distance_comp
 from repro.core.dcpe import DCPEScheme, dcpe_keygen
+from repro.core.protocol import EncryptedQueryBatch
 from repro.hnsw.graph import HNSWParams
 
 TINY_HNSW = HNSWParams(m=4, ef_construction=20)
@@ -122,7 +123,9 @@ class TestBatchInterface:
         queries = [
             fitted_scheme.user.encrypt_query(q, 5) for q in small_dataset.queries[:3]
         ]
-        batch = fitted_scheme.server.answer_batch(queries, ratio_k=4, ef_search=60)
+        batch = fitted_scheme.server.answer(
+            EncryptedQueryBatch.from_queries(queries), ratio_k=4, ef_search=60
+        )
         assert len(batch) == 3
         for encrypted, report in zip(queries, batch):
             single = fitted_scheme.server.answer(encrypted, ratio_k=4, ef_search=60)

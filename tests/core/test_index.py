@@ -23,26 +23,26 @@ class TestConstruction:
         assert len(index) == vectors.shape[0]
         assert index.sap_vectors.shape == vectors.shape
         assert len(index.dce_database) == vectors.shape[0]
-        assert index.backend.substrate.vectors.shape[0] == vectors.shape[0]
+        assert index.backend.vectors.shape[0] == vectors.shape[0]
 
     def test_graph_is_over_sap_not_plaintext(self, built):
         _, index, vectors = built
         # Graph stores the DCPE ciphertexts, which are scaled by s=1024.
-        assert np.allclose(index.backend.substrate.vectors, index.sap_vectors)
-        assert not np.allclose(index.backend.substrate.vectors, vectors)
+        assert np.allclose(index.backend.vectors, index.sap_vectors)
+        assert not np.allclose(index.backend.vectors, vectors)
 
     def test_misaligned_components_rejected(self, built):
         _, index, _ = built
         with pytest.raises(CiphertextFormatError):
             EncryptedIndex(
-                index.sap_vectors[:-1], index.backend.substrate, index.dce_database
+                index.sap_vectors[:-1], index.backend, index.dce_database
             )
 
     def test_non_2d_sap_rejected(self, built):
         _, index, _ = built
         with pytest.raises(CiphertextFormatError):
             EncryptedIndex(
-                index.sap_vectors[0], index.backend.substrate, index.dce_database
+                index.sap_vectors[0], index.backend, index.dce_database
             )
 
 

@@ -46,7 +46,7 @@ class TestInsert:
         n = dataset.num_vectors + 1
         assert index.sap_vectors.shape[0] == n
         assert len(index.dce_database) == n
-        assert index.backend.substrate.vectors.shape[0] == n
+        assert index.backend.vectors.shape[0] == n
 
     def test_insert_wrong_dim(self, mutable_scheme):
         scheme, _ = mutable_scheme

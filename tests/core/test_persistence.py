@@ -43,10 +43,10 @@ class TestIndexRoundtrip:
         path = tmp_path / "index.npz"
         save_index(path, index)
         loaded = load_index(path)
-        assert loaded.backend.substrate.entry_point == index.backend.substrate.entry_point
-        assert loaded.backend.substrate.max_level == index.backend.substrate.max_level
+        assert loaded.backend.entry_point == index.backend.entry_point
+        assert loaded.backend.max_level == index.backend.max_level
         for node in range(0, 150, 17):
-            assert loaded.backend.substrate.neighbors(node, 0) == index.backend.substrate.neighbors(node, 0)
+            assert loaded.backend.neighbors(node, 0) == index.backend.neighbors(node, 0)
 
     def test_tombstones_preserved(self, deployed, tmp_path):
         owner, _, vectors = deployed

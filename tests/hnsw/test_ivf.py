@@ -104,13 +104,7 @@ class TestIVFIndex:
 
 def _reload(index):
     """A ``state_arrays`` -> ``from_state`` round trip of ``index``."""
-    return IVFFlatIndex.from_state(
-        index.vectors,
-        index.params,
-        index.centroids,
-        index.assignments(),
-        deleted=set(index.deleted_ids().tolist()),
-    )
+    return IVFFlatIndex.from_state(index.vectors, index.state_arrays())
 
 
 def _assert_batch_matches_loop(index, queries, k, nprobe):
@@ -270,3 +264,32 @@ class TestIVFAsFilterBackend:
                 recall_at_k(np.array(heap.items()), truth.for_query(i), 10)
             )
         assert np.mean(recalls) >= 0.8
+
+    def test_ef_search_maps_onto_probe_count(self, built):
+        """``ef_search`` probes at least ``default_nprobe`` lists, plus
+        enough to cover ``ef_search`` vectors of balanced lists."""
+        index, vectors = built
+        per_list = index.size / index.num_lists
+        for ef_search, nprobe in ((None, 4), (10, 4), (int(6 * per_list), 6)):
+            stats = SearchStats()
+            got = index.search(vectors[3], 10, ef_search=ef_search, stats=stats)
+            assert stats.hops == nprobe, ef_search
+            want = index.search(vectors[3], 10, nprobe=nprobe)
+            assert np.array_equal(got[0], want[0]), ef_search
+        with pytest.raises(ParameterError):
+            IVFFlatIndex(vectors, IVFParams(num_lists=4), default_nprobe=0)
+
+    def test_default_nprobe_survives_reload_and_rebuild(self, built):
+        """A persisted ``default_nprobe`` other than 4 rides through
+        ``from_state`` and the compaction ``rebuild``."""
+        index, vectors = built
+        state = dict(index.state_arrays())
+        state["ivf_params"] = state["ivf_params"].copy()
+        state["ivf_params"][2] = 2
+        loaded = IVFFlatIndex.from_state(index.vectors, state)
+        rebuilt = loaded.rebuild(vectors[:300], rng=np.random.default_rng(3))
+        for backend in (loaded, rebuilt):
+            assert backend.state_arrays()["ivf_params"][2] == 2
+            stats_list = [SearchStats(), SearchStats()]
+            backend.search_batch(vectors[:2], 10, stats_list=stats_list)
+            assert [stats.hops for stats in stats_list] == [2, 2]

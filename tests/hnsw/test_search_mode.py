@@ -84,7 +84,6 @@ class TestReverseAdjacency:
                     n for n in range(_node_count(index)) if not index.is_deleted(n)
                 ]
                 victim = int(rng.choice(live))
-                index.remove_edges_to(victim)
                 index.mark_deleted(victim)
             else:
                 index.insert(rng.standard_normal(6))
@@ -94,10 +93,10 @@ class TestReverseAdjacency:
     def test_remove_edges_to_repair_semantics_unchanged(self):
         """The Section V-D repair pipeline behaves exactly as the seed's.
 
-        After unlink + tombstone + repair, the victim has no in-edges at
-        any layer, the former in-neighbors keep valid (capped,
-        victim-free) neighbor lists, and searches never return the
-        victim.
+        After ``mark_deleted`` (unlink + tombstone + repair), the victim
+        has no in-edges at any layer, the former in-neighbors keep valid
+        (capped, victim-free) neighbor lists, and searches never return
+        the victim.
         """
         rng = np.random.default_rng(17)
         vectors = rng.standard_normal((120, 8))
@@ -106,10 +105,7 @@ class TestReverseAdjacency:
         victim = 11
         in_neighbors = index.in_neighbors(victim)
         assert in_neighbors, "test needs a victim with in-edges"
-        index.remove_edges_to(victim)
         index.mark_deleted(victim)
-        for neighbor in in_neighbors:
-            index.repair_node(neighbor)
         for layer in range(index.max_level + 1):
             assert index.in_neighbors(victim, layer) == []
         for neighbor in in_neighbors:
@@ -129,12 +125,12 @@ class TestTombstoneBeam:
         index = HNSWIndex(8, HNSWParams(m=6, ef_construction=60), rng=rng)
         index.build(vectors)
         query = vectors[0] + 0.01
-        # Tombstone the 40 nearest nodes: with ef_search=12 a fixed-width
-        # beam would be wall-to-wall tombstones and return far fewer than
-        # k live ids.
+        # Tombstone the 40 nearest nodes, edges kept (``mark_deleted``
+        # would unlink them): with ef_search=12 a fixed-width beam would
+        # be wall-to-wall tombstones and return far fewer than k live ids.
         near, _ = index.search(query, 40, ef_search=90)
         for node in near.tolist():
-            index.mark_deleted(node)
+            index._tombstone(node)
         for method in (index.search, _lockstep(index)):
             ids, dists = method(query, 10, ef_search=12)
             assert ids.shape[0] == 10
@@ -209,7 +205,7 @@ class TestSearchMode:
             index = HNSWIndex(12, HNSWParams(m=6, ef_construction=60), rng=rng)
             index.build(np.random.default_rng(42).standard_normal((150, 12)))
             for node in (3, 17, 40, 41, 99):
-                index.mark_deleted(node)
+                index._tombstone(node)  # edges kept: tombstones in the beam
         queries = np.random.default_rng(13).standard_normal((rows, 12))
         stats_batch = [SearchStats() for _ in range(rows)]
         batched = index.search_batch(queries, 7, ef_search=40, stats_list=stats_batch)

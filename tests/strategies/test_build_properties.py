@@ -407,7 +407,7 @@ def test_bulk_hnsw_build_equals_sequential(
     built = _hnsw_state(oracle)
     victims = [int(v) for v in rng.choice(n, size=tombstones, replace=False)]
     for node in victims:
-        oracle.mark_deleted(node)
+        oracle._tombstone(node)
     for vector in extra:
         oracle.insert(vector)
     repaired = oracle.in_neighbors(victims[0]) if victims else []
@@ -426,7 +426,7 @@ def test_bulk_hnsw_build_equals_sequential(
             ).build(data, mode=mode)
             assert _hnsw_state(index) == built, f"{mode} build"
             for node in victims:
-                index.mark_deleted(node)
+                index._tombstone(node)
             for step, vector in enumerate(extra):
                 assert index.insert(vector) == n + step
             if victims:
